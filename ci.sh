@@ -33,6 +33,13 @@ cargo test -q
 step "cargo bench --no-run"
 cargo bench --no-run
 
+# The serving benchmark is a package of its own outside the workspace
+# (it builds against crates/ by path), so a registry API break would
+# otherwise only surface at benchmark time.
+step "perfbench: cargo test + release build"
+cargo test -q --manifest-path perfbench/Cargo.toml
+cargo build --release -q --manifest-path perfbench/Cargo.toml
+
 if [ "$smoke" -eq 1 ]; then
     # Tiny experiment sizes: exercise every binary end-to-end in seconds.
     export UHD_TRAIN_N=80 UHD_TEST_N=40 UHD_ITERS=2 UHD_BENCH_QUICK=1

@@ -1,4 +1,4 @@
-//! Serving throughput: batched + sharded `uhd-serve` engine vs the
+//! Serving throughput: batched + sharded `uhd-serve` registry vs the
 //! serial per-image loop, swept over batch size × shard count, plus a
 //! kernel microbench pitting the dispatched SIMD popcount path against
 //! the scalar fallback on the associative-memory sweep.
@@ -7,16 +7,17 @@
 //!
 //! Two serial baselines are measured on the same synthetic workload:
 //!
-//! * `serial_classify` — the status-quo path this engine replaces: one
+//! * `serial_classify` — the status-quo path the registry replaces: one
 //!   image at a time through `HdcModel::classify` (default integer
 //!   cosine over the class sums);
 //! * `serial_binarized` — one image at a time through the binarized
-//!   query path, i.e. the same decisions the engine produces, but
+//!   query path, i.e. the same decisions the registry produces, but
 //!   without batching, sharding, or the transposed class store.
 //!
-//! The sweep then serves the identical image stream through
-//! `ServeEngine` for every (shards, max_batch) combination, and the
-//! best configuration is re-run request-by-request for p50/p99 latency.
+//! The sweep then serves the identical image stream through a
+//! one-tenant `ModelRegistry` for every (shards, max_batch) combination,
+//! and the best configuration is re-run request-by-request for p50/p99
+//! latency.
 //!
 //! The report goes to stdout *and* to `BENCH_throughput.json` in the
 //! repository root — the machine-attributed perf trajectory CI
@@ -26,10 +27,11 @@
 //! `UHD_KERNEL` kernel override.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 use uhd_bench::{
-    env_flag, machine_json, tabular_encoder, text_encoder, uhd_encoder, ExperimentConfig,
-    Latencies, Workbench,
+    env_flag, machine_json, one_tenant, tabular_encoder, text_encoder, uhd_encoder,
+    ExperimentConfig, Latencies, Workbench, TENANT,
 };
 use uhd_core::assoc::AssociativeMemory;
 use uhd_core::encoder::uhd::UhdEncoder;
@@ -40,7 +42,7 @@ use uhd_core::Encoder;
 use uhd_datasets::synth::SyntheticKind;
 use uhd_datasets::{generate_language_id, generate_sensor_rows, SensorSpec, TextSpec};
 use uhd_lowdisc::rng::Xoshiro256StarStar;
-use uhd_serve::{ServeConfig, ServeEngine};
+use uhd_serve::{ServeConfig, StatsSnapshot};
 
 struct SweepPoint {
     shards: usize,
@@ -186,27 +188,15 @@ fn am_kernel_bench(quick: bool) -> AmKernelResult {
 fn obs_overhead_bench(
     quick: bool,
     best: &SweepPoint,
-    encoder: &UhdEncoder,
+    encoder: &Arc<UhdEncoder>,
     model: &HdcModel,
     images: &[Vec<u8>],
 ) -> ObsOverhead {
     let reps = if quick { 1 } else { 3 };
     let time_mode = |telemetry: bool| -> f64 {
+        let config = ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry);
         (0..reps)
-            .map(|_| {
-                ServeEngine::serve(
-                    ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry),
-                    encoder,
-                    model.clone(),
-                    |engine| {
-                        let t0 = Instant::now();
-                        let responses = engine.classify_many(images).expect("serve");
-                        assert_eq!(responses.len(), images.len());
-                        images.len() as f64 / t0.elapsed().as_secs_f64()
-                    },
-                )
-                .expect("engine start")
-            })
+            .map(|_| serve_rate(config, encoder.clone(), model, images).0)
             .fold(0.0_f64, f64::max)
     };
     let noop_images_per_sec = time_mode(false);
@@ -219,7 +209,7 @@ fn obs_overhead_bench(
     }
 }
 
-/// One row of the per-workload comparison: the same engine, same best
+/// One row of the per-workload comparison: the same registry, same best
 /// sweep configuration, serving a different feature-stream family.
 struct WorkloadThroughput {
     workload: &'static str,
@@ -229,30 +219,24 @@ struct WorkloadThroughput {
     samples_per_sec: f64,
 }
 
-/// Serve a sample stream through the engine at the best configuration
-/// and return samples per second.
-fn serve_rate<E: Encoder + ?Sized>(
-    best: &SweepPoint,
-    encoder: &E,
+/// Serve a sample stream as one wave through a fresh one-tenant
+/// registry and return (samples per second, the registry's stats).
+fn serve_rate(
+    config: ServeConfig,
+    encoder: Arc<dyn Encoder>,
     model: &HdcModel,
     samples: &[Vec<u8>],
-) -> f64 {
-    ServeEngine::serve(
-        ServeConfig::new(best.shards, best.max_batch),
-        encoder,
-        model.clone(),
-        |engine| {
-            let t0 = Instant::now();
-            let responses = engine.classify_many(samples).expect("serve");
-            assert_eq!(responses.len(), samples.len());
-            samples.len() as f64 / t0.elapsed().as_secs_f64()
-        },
-    )
-    .expect("engine start")
+) -> (f64, StatsSnapshot) {
+    let registry = one_tenant(config, encoder, model.clone());
+    let t0 = Instant::now();
+    let responses = registry.classify_many(TENANT, samples).expect("serve");
+    assert_eq!(responses.len(), samples.len());
+    let rate = samples.len() as f64 / t0.elapsed().as_secs_f64();
+    (rate, registry.stats())
 }
 
 /// The per-workload section: image, text and tabular streams through
-/// the *same* engine code path at the best sweep configuration. The
+/// the *same* registry code path at the best sweep configuration. The
 /// image row reuses the already-trained MNIST model; the other two
 /// train their own small models on synthetic corpora.
 fn per_workload_bench(
@@ -260,10 +244,11 @@ fn per_workload_bench(
     d: u32,
     best: &SweepPoint,
     cfg: &ExperimentConfig,
-    image_encoder: &UhdEncoder,
+    image_encoder: &Arc<UhdEncoder>,
     image_model: &HdcModel,
     images: &[Vec<u8>],
 ) -> Vec<WorkloadThroughput> {
+    let config = ServeConfig::new(best.shards, best.max_batch);
     let (train_n, test_n, queries) = if quick {
         (120, 60, 400)
     } else {
@@ -276,7 +261,7 @@ fn per_workload_bench(
         encoder: image_encoder.profile().name.into_owned(),
         queries: images.len(),
         classes: image_model.classes(),
-        samples_per_sec: serve_rate(best, image_encoder, image_model, images),
+        samples_per_sec: serve_rate(config, image_encoder.clone(), image_model, images).0,
     });
 
     let text_spec = TextSpec::new(train_n, test_n, cfg.seed);
@@ -301,7 +286,7 @@ fn per_workload_bench(
         encoder: encoder.profile().name.into_owned(),
         queries: sentences.len(),
         classes: train.classes(),
-        samples_per_sec: serve_rate(best, &encoder, &model, &sentences),
+        samples_per_sec: serve_rate(config, Arc::new(encoder), &model, &sentences).0,
     });
 
     let (train, test) =
@@ -326,13 +311,13 @@ fn per_workload_bench(
         encoder: encoder.profile().name.into_owned(),
         queries: sensor_rows.len(),
         classes: train.classes(),
-        samples_per_sec: serve_rate(best, &encoder, &model, &sensor_rows),
+        samples_per_sec: serve_rate(config, Arc::new(encoder), &model, &sensor_rows).0,
     });
 
     rows
 }
 
-/// The two serial per-image baselines the engine is judged against:
+/// The two serial per-image baselines the registry is judged against:
 /// (default integer-cosine classify, binarized-query classify), both in
 /// images per second.
 fn serial_baselines(model: &HdcModel, encoder: &UhdEncoder, images: &[Vec<u8>]) -> (f64, f64) {
@@ -342,7 +327,7 @@ fn serial_baselines(model: &HdcModel, encoder: &UhdEncoder, images: &[Vec<u8>]) 
     }
     let serial_classify_ips = images.len() as f64 / t0.elapsed().as_secs_f64();
 
-    // Binarized query: the same decisions the engine produces, but
+    // Binarized query: the same decisions the registry produces, but
     // without batching, sharding, or the transposed class store.
     let t0 = Instant::now();
     for image in images {
@@ -354,12 +339,12 @@ fn serial_baselines(model: &HdcModel, encoder: &UhdEncoder, images: &[Vec<u8>]) 
     (serial_classify_ips, serial_binarized_ips)
 }
 
-/// Serve the image stream through the engine at every
+/// Serve the image stream through the registry at every
 /// (shards × max_batch) point.
 fn run_sweep(
     quick: bool,
     hw_threads: usize,
-    encoder: &UhdEncoder,
+    encoder: &Arc<UhdEncoder>,
     model: &HdcModel,
     images: &[Vec<u8>],
 ) -> Vec<SweepPoint> {
@@ -372,22 +357,12 @@ fn run_sweep(
     let mut points = Vec::new();
     for &shards in &shard_opts {
         for &max_batch in batch_opts {
-            let (elapsed, stats) = ServeEngine::serve(
-                ServeConfig::new(shards, max_batch),
-                encoder,
-                model.clone(),
-                |engine| {
-                    let t0 = Instant::now();
-                    let responses = engine.classify_many(images).expect("serve");
-                    assert_eq!(responses.len(), images.len());
-                    (t0.elapsed(), engine.stats())
-                },
-            )
-            .expect("engine start");
+            let config = ServeConfig::new(shards, max_batch);
+            let (images_per_sec, stats) = serve_rate(config, encoder.clone(), model, images);
             points.push(SweepPoint {
                 shards,
                 max_batch,
-                images_per_sec: images.len() as f64 / elapsed.as_secs_f64(),
+                images_per_sec,
                 mean_batch: stats.mean_batch(),
                 largest_batch: stats.largest_batch,
             });
@@ -412,7 +387,7 @@ struct Workload {
 /// per-workload throughput, and the kernel microbench.
 struct Measurements<'a> {
     latencies: &'a Latencies,
-    engine_stats: &'a uhd_serve::StatsSnapshot,
+    registry_stats: &'a StatsSnapshot,
     obs: &'a ObsOverhead,
     workloads: &'a [WorkloadThroughput],
     remat: &'a RematResult,
@@ -451,7 +426,7 @@ fn render_report(
 ) -> String {
     let Measurements {
         latencies,
-        engine_stats,
+        registry_stats,
         obs,
         workloads,
         remat,
@@ -502,12 +477,12 @@ fn render_report(
     )
     .unwrap();
     writeln!(out, "  \"request_latency\": {},", latencies.json()).unwrap();
-    // The engine's own view of the same run, from its lock-free
+    // The registry's own view of the same run, from its lock-free
     // histograms (submit→completion, so queue wait is included).
     writeln!(
         out,
         "  \"engine_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",
-        engine_stats.p50_us, engine_stats.p99_us, engine_stats.queue_depth_hw
+        registry_stats.p50_us, registry_stats.p99_us, registry_stats.queue_depth_hw
     )
     .unwrap();
     writeln!(
@@ -517,7 +492,7 @@ fn render_report(
         obs.instrumented_images_per_sec, obs.noop_images_per_sec, obs.overhead_pct
     )
     .unwrap();
-    // The same engine, same best configuration, across the three
+    // The same registry, same best configuration, across the three
     // feature-stream families — the workload-agnostic serving claim.
     writeln!(out, "  \"workloads\": [").unwrap();
     for (i, w) in workloads.iter().enumerate() {
@@ -557,9 +532,9 @@ fn main() {
     let queries = if quick { 400 } else { 2000 };
 
     let bench = Workbench::new(SyntheticKind::Mnist, &cfg);
-    let encoder = uhd_encoder(d, bench.train.pixels());
+    let encoder = Arc::new(uhd_encoder(d, bench.train.pixels()));
     let model = HdcModel::train_parallel(
-        &encoder,
+        encoder.as_ref(),
         bench.train_data(),
         bench.train.classes(),
         cfg.threads,
@@ -578,7 +553,7 @@ fn main() {
 
     let (serial_classify_ips, serial_binarized_ips) = serial_baselines(&model, &encoder, &images);
 
-    // --- The sweep: batch size × shard count through the engine. ---
+    // --- The sweep: batch size × shard count through the registry. ---
     let hw_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let points = run_sweep(quick, hw_threads, &encoder, &model, &images);
 
@@ -588,29 +563,27 @@ fn main() {
         .expect("sweep is nonempty");
 
     // --- Per-request latency at the best configuration, with the
-    // engine's own histogram-derived figures alongside. ---
+    // registry's own histogram-derived figures alongside. ---
     let latency_n = images.len().min(if quick { 200 } else { 1000 });
-    let (latencies, engine_stats) = ServeEngine::serve(
+    let registry = one_tenant(
         ServeConfig::new(best.shards, best.max_batch),
-        &encoder,
+        encoder.clone(),
         model.clone(),
-        |engine| {
-            let mut lat = Latencies::with_capacity(latency_n);
-            for image in images.iter().take(latency_n) {
-                let t0 = Instant::now();
-                let _ = engine.classify(image).expect("classify");
-                lat.record(t0.elapsed());
-            }
-            (lat, engine.stats())
-        },
-    )
-    .expect("engine start");
+    );
+    let mut latencies = Latencies::with_capacity(latency_n);
+    for image in images.iter().take(latency_n) {
+        let t0 = Instant::now();
+        let _ = registry.classify(TENANT, image).expect("classify");
+        latencies.record(t0.elapsed());
+    }
+    let registry_stats = registry.stats();
+    drop(registry);
 
     // --- Instrumentation overhead: telemetry on vs no-op recorder. ---
     let obs = obs_overhead_bench(quick, best, &encoder, &model, &images);
 
     // --- Per-workload throughput: image / text / tabular streams
-    // through the same engine at the best configuration. ---
+    // through the same registry at the best configuration. ---
     let workloads = per_workload_bench(quick, d, best, &cfg, &encoder, &model, &images);
 
     // --- Rematerialized vs resident item memory at paper geometry. ---
@@ -636,7 +609,7 @@ fn main() {
         best,
         &Measurements {
             latencies: &latencies,
-            engine_stats: &engine_stats,
+            registry_stats: &registry_stats,
             obs: &obs,
             workloads: &workloads,
             remat: &remat,

@@ -13,6 +13,7 @@ pub mod report;
 
 pub use report::{env_flag, machine_json, repo_root, write_bench_json, Latencies};
 
+use std::sync::Arc;
 use uhd_core::encoder::baseline::{BaselineConfig, BaselineEncoder};
 use uhd_core::encoder::tabular::{TabularConfig, TabularEncoder};
 use uhd_core::encoder::text::{NgramTextConfig, NgramTextEncoder};
@@ -22,6 +23,7 @@ use uhd_core::Encoder;
 use uhd_datasets::image::Dataset;
 use uhd_datasets::synth::{generate, SynthSpec, SyntheticKind};
 use uhd_lowdisc::rng::Xoshiro256StarStar;
+use uhd_serve::{ModelRegistry, ServeConfig};
 
 /// Experiment sizing, overridable from the environment
 /// (`UHD_TRAIN_N`, `UHD_TEST_N`, `UHD_ITERS`, `UHD_SEED`).
@@ -192,6 +194,29 @@ pub fn text_encoder(d: u32, max_len: usize) -> NgramTextEncoder {
 pub fn tabular_encoder(d: u32, columns: usize) -> TabularEncoder {
     TabularEncoder::new(TabularConfig::new(d, columns))
         .expect("tabular encoder construction failed")
+}
+
+/// The tenant name [`one_tenant`] registers.
+pub const TENANT: &str = "bench";
+
+/// Start a serving registry under `config` with `model` registered as
+/// its one tenant, [`TENANT`], answering through `encoder`.
+///
+/// # Panics
+///
+/// Panics if the registry rejects the configuration or the model
+/// (fatal in a bench).
+#[must_use]
+pub fn one_tenant(
+    config: ServeConfig,
+    encoder: Arc<dyn Encoder>,
+    model: HdcModel,
+) -> ModelRegistry {
+    let registry = ModelRegistry::start(config).expect("registry start failed");
+    registry
+        .register(TENANT, encoder, model)
+        .expect("tenant registration failed");
+    registry
 }
 
 /// Literature rows of Table III: `(framework, platform, efficiency ×)`.

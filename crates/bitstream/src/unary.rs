@@ -20,7 +20,6 @@ use std::fmt;
 /// The type maintains the thermometer invariant: every constructor either
 /// guarantees it or checks it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UnaryBitstream {
     /// Packed little-endian words; bit `i` of the stream is bit `i % 64`
     /// of word `i / 64`. Unused high bits of the last word are zero.

@@ -26,7 +26,6 @@ use uhd_lowdisc::rng::UniformSource;
 /// # Ok::<(), uhd_core::HdcError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hypervector {
     words: Vec<u64>,
     dim: u32,

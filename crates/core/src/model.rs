@@ -66,10 +66,6 @@ pub struct LabelledSamples<'a> {
     pub labels: &'a [usize],
 }
 
-/// Deprecated image-era alias for [`LabelledSamples`].
-#[deprecated(note = "renamed to `LabelledSamples`; the model layer is no longer image-specific")]
-pub type LabelledImages<'a> = LabelledSamples<'a>;
-
 impl<'a> LabelledSamples<'a> {
     /// Bundle samples and labels, checking the obvious invariants.
     ///

@@ -44,7 +44,6 @@ fn is_prime(n: u64) -> bool {
 /// One dimension of the Halton sequence (radical inverse in the
 /// dimension's prime base).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HaltonDimension {
     base: u64,
     index: u64,

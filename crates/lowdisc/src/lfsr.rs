@@ -37,7 +37,6 @@ use crate::rng::{SeekableSource, UniformSource};
 /// # Ok::<(), uhd_lowdisc::LowDiscError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lfsr {
     width: u32,
     /// Feedback polynomial bit mask over state bits (bit i = coefficient of

@@ -29,7 +29,6 @@ use crate::error::LowDiscError;
 /// # Ok::<(), uhd_lowdisc::LowDiscError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Quantizer {
     levels: u32,
 }

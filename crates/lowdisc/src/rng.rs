@@ -55,7 +55,6 @@ pub trait SeekableSource: UniformSource {
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitMix64 {
     state: u64,
     /// The construction seed, kept so [`SeekableSource::seek_to`] can
@@ -110,7 +109,6 @@ impl SeekableSource for SplitMix64 {
 /// assert!((0.0..1.0).contains(&x));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }

@@ -38,7 +38,6 @@ pub fn radical_inverse(mut n: u64, base: u64) -> f64 {
 /// The van der Corput sequence in a fixed base, starting at index 0
 /// (whose value is 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VanDerCorput {
     base: u64,
     index: u64,

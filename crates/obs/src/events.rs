@@ -77,13 +77,13 @@ impl TraceLevel {
 /// | `SampleRejected`    | offending label          | predicted label (`u64::MAX` = none) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// The engine resolved its popcount kernel at startup.
+    /// The serving registry resolved its popcount kernel at startup.
     KernelDispatched,
     /// A worker shard dequeued a batch (Trace level only).
     BatchFormed,
     /// A new model generation was hot-swapped in.
     ModelSwapped,
-    /// The background trainer published a learner snapshot.
+    /// A learner snapshot was published as a new model generation.
     SnapshotPublished,
     /// The learner rejected a sample; `a` carries the offending label
     /// so rejections are attributable, not anonymous.

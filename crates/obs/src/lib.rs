@@ -16,7 +16,7 @@
 //!   stack emits: batch formed, model swapped, snapshot published,
 //!   sample rejected, kernel dispatched.
 //!
-//! The same [`Histogram`] backs the engine's live p50/p99, the
+//! The same [`Histogram`] backs the registry's live p50/p99, the
 //! `BENCH_*.json` trajectory numbers, and the bench bins' latency
 //! sections, so there is exactly one quantile implementation to trust.
 //!

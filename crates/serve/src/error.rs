@@ -4,47 +4,46 @@ use std::error::Error;
 use std::fmt;
 use uhd_core::HdcError;
 
-/// Errors produced by the serving engine.
+/// Errors produced by the serving registry.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServeError {
     /// An encoding or classification error bubbled up from `uhd-core`.
     Core(HdcError),
-    /// The engine has shut down; no further requests are accepted.
+    /// The registry has shut down; no further requests are accepted.
     Closed,
-    /// A worker shard panicked (e.g. a buggy custom encoder) before
-    /// this request could be answered. The request was *not* lost
-    /// silently: pending tickets are errored out so no client blocks
-    /// forever, and the original panic propagates when the serve scope
-    /// joins its workers.
+    /// Answering this request panicked (e.g. a buggy custom encoder).
+    /// The panic is caught per request: this request fails, the worker
+    /// keeps serving every other request and tenant, and
+    /// `uhd_worker_panics_total` counts it.
     WorkerPanicked,
-    /// Engine configuration rejected (zero shards or batch size).
+    /// Configuration rejected: a zero shard, batch, `snapshot_every`,
+    /// `max_classes` or `shed_above` setting, an invalid tenant name,
+    /// or a model past the class admission cap.
     InvalidConfig {
         /// Human-readable reason.
         reason: String,
     },
-    /// A swapped-in model's dimension disagrees with the engine's
-    /// encoder.
+    /// A model's dimension disagrees with its tenant's encoder.
     ModelShapeMismatch {
-        /// Dimension the engine's encoder produces.
+        /// Dimension the tenant's encoder produces.
         expected_dim: u32,
         /// Dimension of the offending model.
         got_dim: u32,
     },
-    /// A labelled sample named a class index at or beyond the engine's
+    /// A labelled sample named a class index at or beyond the
     /// admission cap ([`crate::ServeConfig::max_classes`]); rejected
-    /// eagerly, before it reaches the learner queue.
+    /// eagerly, before it reaches the learner.
     InvalidLabel {
         /// The offending class index.
         label: usize,
-        /// The engine's class admission cap.
+        /// The class admission cap.
         limit: usize,
     },
     /// Load shedding: the request queue already held the admission
-    /// threshold ([`crate::ServeConfig::shed_above`], shared by the
-    /// engine and the registry) when this submit arrived, so it was
-    /// rejected immediately instead of queueing unboundedly. Back off
-    /// and retry.
+    /// threshold ([`crate::ServeConfig::shed_above`]) when this submit
+    /// arrived, so it was rejected immediately instead of queueing
+    /// unboundedly. Back off and retry.
     Overloaded {
         /// Queue depth observed at rejection time.
         depth: usize,
@@ -75,12 +74,12 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Core(e) => write!(f, "classification failed: {e}"),
-            ServeError::Closed => write!(f, "serving engine is shut down"),
+            ServeError::Closed => write!(f, "serving registry is shut down"),
             ServeError::WorkerPanicked => {
                 write!(f, "a worker shard panicked before answering this request")
             }
             ServeError::InvalidConfig { reason } => {
-                write!(f, "invalid engine configuration: {reason}")
+                write!(f, "invalid serving configuration: {reason}")
             }
             ServeError::ModelShapeMismatch {
                 expected_dim,
@@ -91,7 +90,7 @@ impl fmt::Display for ServeError {
             ),
             ServeError::InvalidLabel { label, limit } => write!(
                 f,
-                "label {label} at or beyond the engine's class admission cap {limit}"
+                "label {label} at or beyond the class admission cap {limit}"
             ),
             ServeError::Overloaded { depth, shed_above } => write!(
                 f,

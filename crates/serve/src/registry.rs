@@ -1,51 +1,58 @@
-//! Multi-tenant model registry: many named models served through
-//! **one** shared shard pool.
+//! The serving core: many named models served through **one** shared
+//! shard pool.
 //!
-//! Where [`crate::ServeEngine`] dedicates its scoped worker threads to
-//! a single model, the registry multiplexes: every request carries an
-//! `Arc` to its tenant's state, so a micro-batch drained by a worker
-//! may mix tenants freely and the pool's capacity is shared by all of
-//! them. Each tenant owns
+//! Every request carries an `Arc` to its tenant's state, so a
+//! micro-batch drained by a worker may mix tenants freely and the
+//! pool's capacity is shared by all of them. A single-model deployment
+//! is simply a registry with one tenant. Each tenant owns
 //!
-//! * a named, generation-tagged `Arc<HdcModel>` hot-swap slot (exactly
-//!   the engine's "dynamic HDC" discipline, per tenant),
+//! * a named, generation-tagged `Arc<HdcModel>` hot-swap slot — the
+//!   "dynamic HDC" discipline: [`ModelRegistry::update_model`] replaces
+//!   it atomically while queries are in flight, each request is
+//!   answered against one generation, and every
+//!   [`Response::generation`] names the model that produced it;
 //! * an [`OnlineLearner`] fed *synchronously* by
-//!   [`ModelRegistry::learn`] (no background trainer: tenant counts
-//!   are unbounded, threads are not), publishing a rebinarized
-//!   snapshot every `snapshot_every` applied updates,
+//!   [`ModelRegistry::learn`] and [`ModelRegistry::feedback`] (no
+//!   background trainer: tenant counts are unbounded, threads are
+//!   not), publishing a rebinarized snapshot after exactly every
+//!   `snapshot_every` applied updates;
 //! * per-tenant labelled series on the registry's [`Recorder`]
 //!   (`uhd_tenant_*{tenant="…"}`), so one `/metrics` scrape
-//!   attributes traffic per model,
+//!   attributes traffic per model;
 //! * disk persistence: [`ModelRegistry::save_snapshot`] writes the
 //!   model through [`uhd_core::snapshot::save_atomic`]
 //!   (write-then-rename, crash-safe) and
 //!   [`ModelRegistry::register_from_snapshot`] boots a tenant from
 //!   such a file.
 //!
-//! Unlike the engine's scoped threads, the registry's workers are
-//! **detached** threads holding an `Arc` of the shared state: the
-//! registry outlives its pool, so metrics remain scrapeable after
-//! [`ModelRegistry::shutdown`] — which is also what lets the terminal
-//! queue-depth gauge publish (see `BatchQueue::pop_batch`) be observed
-//! at all.
+//! Every request is staged-timed (queue wait and batch compute per
+//! shard, submit → completion registry-wide; see the `obs` module) and
+//! the registry-wide counters reconcile with the per-tenant ones
+//! ([`ModelRegistry::stats`]).
 //!
-//! Admission control is the same single-lock depth check the engine
-//! uses: past `shed_above` pending requests a submit returns
-//! [`ServeError::Overloaded`] immediately — shedding at the door
-//! instead of timing out every tenant once the queue grows unbounded.
+//! The workers are **detached** threads holding an `Arc` of the shared
+//! state: the registry outlives its pool, so metrics remain scrapeable
+//! after [`ModelRegistry::shutdown`] — which is also what lets the
+//! terminal queue-depth gauge publish (see `BatchQueue::pop_batch`) be
+//! observed at all.
+//!
+//! Admission control is a single-lock depth check: past `shed_above`
+//! pending requests a submit returns [`ServeError::Overloaded`]
+//! immediately — shedding at the door instead of timing out every
+//! tenant once the queue grows unbounded.
 
 use crate::error::ServeError;
-use crate::obs::render_prometheus;
+use crate::obs::{render_prometheus, ServeObs};
 use crate::queue::{BatchQueue, Rejected};
 use crate::request::{Response, Slot, Ticket};
-use crate::ServeConfig;
+use crate::{ServeConfig, StatsSnapshot};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use uhd_core::{BitSliceAccumulator, Encoder, HdcModel, InferenceMode, OnlineLearner};
-use uhd_obs::{Counter, Gauge, Histogram, Recorder, TraceKind, TraceLevel};
+use uhd_obs::{Counter, Gauge, Recorder, TraceEvent, TraceKind, TraceLevel};
 
 /// Longest accepted tenant name. Names are also restricted to
 /// `[A-Za-z0-9_-]` so they embed verbatim in metric labels, URL paths
@@ -72,6 +79,7 @@ struct TenantState {
     name: String,
     encoder: Arc<dyn Encoder>,
     model: RwLock<TenantModel>,
+    /// Lock order is always learner → model, never the reverse.
     learner: Mutex<TenantLearner>,
     /// `uhd_tenant_requests_total{tenant=…}` — admitted classifies.
     requests: Counter,
@@ -95,10 +103,15 @@ impl std::fmt::Debug for TenantState {
 
 impl TenantState {
     /// Snapshot the tenant's current generation-tagged model.
+    ///
+    /// Lock poisoning is *recovered*, here and at every other
+    /// model/learner lock in the registry: the model slot is only ever
+    /// replaced wholesale, never mutated in place, so a writer that
+    /// panicked between acquire and release left either the old value
+    /// or the new one — both coherent. Propagating the poison instead
+    /// would brick every subsequent classify on an otherwise healthy
+    /// pool.
     fn model(&self) -> (u64, Arc<HdcModel>) {
-        // Poison recovery is sound for the same reason as the engine's
-        // (`Shared::publish_model`): the slot is only ever replaced
-        // wholesale, never mutated in place.
         let slot = self.model.read().unwrap_or_else(PoisonError::into_inner);
         (slot.generation, Arc::clone(&slot.model))
     }
@@ -113,31 +126,33 @@ impl TenantState {
         self.generation_gauge.set(generation);
         generation
     }
+
+    /// The tenant's learner, poison-recovered (see [`TenantState::model`]).
+    fn learner(&self) -> MutexGuard<'_, TenantLearner> {
+        self.learner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One enqueued request: the tenant travels with it, so a worker batch
 /// may mix tenants freely.
 #[derive(Debug)]
-struct TenantRequest {
+struct Request {
     tenant: Arc<TenantState>,
     input: Vec<u8>,
     slot: Arc<Slot>,
+    /// Monotonic submit time, the anchor of the staged latency
+    /// breakdown (queue-wait at dequeue, total at completion).
     submitted_at: Instant,
 }
 
 /// State shared between the registry handle and its detached workers.
 struct RegistryInner {
     config: ServeConfig,
-    queue: BatchQueue<TenantRequest>,
+    queue: BatchQueue<Request>,
     /// Ordered so [`ModelRegistry::tenants`] and the exposition are
     /// deterministic.
     tenants: RwLock<BTreeMap<String, Arc<TenantState>>>,
-    recorder: Recorder,
-    /// Registry-wide counterparts of the engine's counters.
-    submitted: Counter,
-    shed: Counter,
-    worker_panics: Counter,
-    latency: Arc<Histogram>,
+    obs: ServeObs,
 }
 
 impl std::fmt::Debug for RegistryInner {
@@ -162,14 +177,12 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// Start a registry: spawn `config.shards` detached workers over a
     /// shared micro-batching queue and return the handle that owns
-    /// them. `config.learn_queue_cap` and `config.snapshot_every`
-    /// retain their engine meanings where applicable ([`ModelRegistry::learn`]
-    /// is synchronous, so only `snapshot_every` is read).
+    /// them.
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] under the same rules as
-    /// [`crate::ServeEngine::serve`].
+    /// [`ServeError::InvalidConfig`] for a zero shard, batch,
+    /// `snapshot_every`, `max_classes` or `shed_above` setting.
     pub fn start(config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
         let recorder = if config.telemetry {
@@ -177,20 +190,15 @@ impl ModelRegistry {
         } else {
             Recorder::noop()
         };
+        let obs = ServeObs::new(recorder, config.shards);
         let inner = Arc::new(RegistryInner {
-            queue: BatchQueue::unbounded().with_gauges(
-                recorder.gauge("uhd_queue_depth"),
-                recorder.gauge("uhd_queue_depth_hw"),
-            ),
+            queue: BatchQueue::new()
+                .with_gauges(obs.queue_depth.clone(), obs.queue_depth_hw.clone()),
             tenants: RwLock::new(BTreeMap::new()),
-            submitted: recorder.counter("uhd_requests_submitted_total"),
-            shed: recorder.counter("uhd_requests_shed_total"),
-            worker_panics: recorder.counter("uhd_worker_panics_total"),
-            latency: recorder.histogram("uhd_request_total_ns"),
-            recorder,
+            obs,
             config,
         });
-        inner.recorder.event(
+        inner.obs.event(
             TraceKind::KernelDispatched,
             kernel_ordinal(uhd_core::Kernel::active().name()),
             config.shards as u64,
@@ -200,7 +208,7 @@ impl ModelRegistry {
             let inner = Arc::clone(&inner);
             let handle = std::thread::Builder::new()
                 .name(format!("uhd-registry-{shard}"))
-                .spawn(move || worker_loop(&inner))
+                .spawn(move || worker_loop(&inner, shard))
                 .map_err(|e| ServeError::InvalidConfig {
                     reason: format!("failed to spawn worker thread: {e}"),
                 })?;
@@ -229,25 +237,11 @@ impl ModelRegistry {
         model: HdcModel,
     ) -> Result<(), ServeError> {
         validate_tenant_name(name)?;
-        if model.dim() != encoder.dim() {
-            return Err(ServeError::ModelShapeMismatch {
-                expected_dim: encoder.dim(),
-                got_dim: model.dim(),
-            });
-        }
-        if model.classes() > self.inner.config.max_classes {
-            return Err(ServeError::InvalidConfig {
-                reason: format!(
-                    "tenant {name:?} model has {} classes but max_classes is {}",
-                    model.classes(),
-                    self.inner.config.max_classes
-                ),
-            });
-        }
+        self.check_model(name, encoder.as_ref(), &model)?;
         let learner =
             OnlineLearner::from_model(&model).with_max_classes(self.inner.config.max_classes);
         let labels: [(&str, &str); 1] = [("tenant", name)];
-        let recorder = &self.inner.recorder;
+        let recorder = &self.inner.obs.recorder;
         let state = Arc::new(TenantState {
             name: name.to_string(),
             encoder,
@@ -275,6 +269,10 @@ impl ModelRegistry {
                 name: name.to_string(),
             });
         }
+        // The recorder hands back the existing cell for a name it has
+        // seen before, so a re-registered tenant would otherwise scrape
+        // its predecessor's last generation.
+        state.generation_gauge.set(0);
         tenants.insert(name.to_string(), state);
         Ok(())
     }
@@ -343,6 +341,70 @@ impl ModelRegistry {
             })
     }
 
+    /// The shape checks shared by [`ModelRegistry::register`] and
+    /// [`ModelRegistry::update_model`].
+    fn check_model(
+        &self,
+        name: &str,
+        encoder: &dyn Encoder,
+        model: &HdcModel,
+    ) -> Result<(), ServeError> {
+        if model.dim() != encoder.dim() {
+            return Err(ServeError::ModelShapeMismatch {
+                expected_dim: encoder.dim(),
+                got_dim: model.dim(),
+            });
+        }
+        let limit = self.inner.config.max_classes;
+        if model.classes() > limit {
+            return Err(ServeError::InvalidConfig {
+                reason: format!(
+                    "tenant {name:?} model has {} classes but max_classes is {limit}",
+                    model.classes()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    fn request(tenant: &Arc<TenantState>, input: Vec<u8>) -> (Request, Ticket) {
+        let slot = Arc::new(Slot::default());
+        let request = Request {
+            tenant: Arc::clone(tenant),
+            input,
+            slot: Arc::clone(&slot),
+            submitted_at: Instant::now(),
+        };
+        (request, Ticket { slot })
+    }
+
+    /// Count an admission outcome for `n` requests and map a rejection
+    /// onto its error.
+    fn admitted(
+        &self,
+        tenant: &TenantState,
+        n: usize,
+        outcome: Result<(), Rejected>,
+    ) -> Result<(), ServeError> {
+        let stats = &self.inner.obs.stats;
+        match outcome {
+            Ok(()) => {
+                stats.record_submit(n);
+                tenant.requests.add(n as u64);
+                Ok(())
+            }
+            Err(Rejected::Closed) => Err(ServeError::Closed),
+            Err(Rejected::Shed { depth }) => {
+                stats.record_shed();
+                tenant.shed.inc();
+                Err(ServeError::Overloaded {
+                    depth,
+                    shed_above: self.inner.config.shed_above,
+                })
+            }
+        }
+    }
+
     /// Enqueue one sample for `tenant`; redeem with [`Ticket::wait`].
     ///
     /// # Errors
@@ -360,33 +422,13 @@ impl ModelRegistry {
             .encoder
             .check_features(&input)
             .map_err(ServeError::Core)?;
-        let slot = Arc::new(Slot::default());
-        let request = TenantRequest {
-            tenant: Arc::clone(&tenant),
-            input,
-            slot: Arc::clone(&slot),
-            submitted_at: Instant::now(),
-        };
-        match self
+        let (request, ticket) = Self::request(&tenant, input);
+        let outcome = self
             .inner
             .queue
-            .push_admitted(request, self.inner.config.shed_above)
-        {
-            Ok(()) => {
-                self.inner.submitted.inc();
-                tenant.requests.inc();
-                Ok(Ticket { slot })
-            }
-            Err(Rejected::Closed) => Err(ServeError::Closed),
-            Err(Rejected::Shed { depth }) => {
-                self.inner.shed.inc();
-                tenant.shed.inc();
-                Err(ServeError::Overloaded {
-                    depth,
-                    shed_above: self.inner.config.shed_above,
-                })
-            }
-        }
+            .push_admitted(request, self.inner.config.shed_above);
+        self.admitted(&tenant, 1, outcome)?;
+        Ok(ticket)
     }
 
     /// Submit one sample for `tenant` and block for its answer.
@@ -397,6 +439,54 @@ impl ModelRegistry {
     /// per-request classification error.
     pub fn classify(&self, tenant: &str, input: &[u8]) -> Result<Response, ServeError> {
         self.submit(tenant, input.to_vec())?.wait()
+    }
+
+    /// Enqueue a whole slice of samples for `tenant` as one wave — a
+    /// single queue lock acquisition and one worker broadcast —
+    /// returning a ticket per sample in input order. The whole wave is
+    /// validated before anything is enqueued (all-or-nothing).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ModelRegistry::submit`]. Admission is
+    /// all-or-nothing like validation: a wave that would carry the
+    /// queue past `shed_above` is shed whole.
+    pub fn submit_many(&self, tenant: &str, inputs: &[Vec<u8>]) -> Result<Vec<Ticket>, ServeError> {
+        let tenant = self.tenant(tenant)?;
+        for input in inputs {
+            tenant
+                .encoder
+                .check_features(input)
+                .map_err(ServeError::Core)?;
+        }
+        let (requests, tickets): (Vec<_>, Vec<_>) = inputs
+            .iter()
+            .map(|input| Self::request(&tenant, input.clone()))
+            .unzip();
+        let outcome = self
+            .inner
+            .queue
+            .push_all(requests, self.inner.config.shed_above);
+        self.admitted(&tenant, inputs.len(), outcome)?;
+        Ok(tickets)
+    }
+
+    /// Submit a whole slice of samples for `tenant` before waiting on
+    /// any of them, so the worker shards can drain them as
+    /// micro-batches. Responses are returned in input order.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ModelRegistry::classify`].
+    pub fn classify_many(
+        &self,
+        tenant: &str,
+        inputs: &[Vec<u8>],
+    ) -> Result<Vec<Response>, ServeError> {
+        self.submit_many(tenant, inputs)?
+            .into_iter()
+            .map(Ticket::wait)
+            .collect()
     }
 
     /// Apply one labelled sample to `tenant`'s online learner
@@ -413,49 +503,102 @@ impl ModelRegistry {
     /// * [`ServeError::InvalidLabel`] for a label at or beyond
     ///   `max_classes`.
     pub fn learn(&self, tenant: &str, input: &[u8], label: usize) -> Result<u64, ServeError> {
+        self.apply_sample(tenant, input, label, None)
+    }
+
+    /// Apply served-prediction feedback synchronously: the client saw
+    /// `tenant` answer `predicted` for `input`, whose true class is
+    /// `label`. The learner applies the AdaptHD perceptron correction
+    /// only when `predicted != label`, so correct feedback changes (and
+    /// publishes) nothing. Returns the tenant's current generation.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ModelRegistry::learn`] (the `predicted`
+    /// index is validated against the cap too), plus
+    /// [`ServeError::Core`] when the learner rejects the sample — e.g.
+    /// a prediction naming a class it never admitted. Such rejections
+    /// count into `uhd_learn_rejected_total` and emit a
+    /// `SampleRejected` trace event carrying the offending label.
+    pub fn feedback(
+        &self,
+        tenant: &str,
+        input: &[u8],
+        predicted: usize,
+        label: usize,
+    ) -> Result<u64, ServeError> {
+        self.apply_sample(tenant, input, label, Some(predicted))
+    }
+
+    /// The shared body of [`ModelRegistry::learn`] (`predicted: None`,
+    /// bundle into `label`) and [`ModelRegistry::feedback`]
+    /// (`predicted: Some(p)`, perceptron correction).
+    fn apply_sample(
+        &self,
+        tenant: &str,
+        input: &[u8],
+        label: usize,
+        predicted: Option<usize>,
+    ) -> Result<u64, ServeError> {
         let tenant = self.tenant(tenant)?;
         tenant
             .encoder
             .check_features(input)
             .map_err(ServeError::Core)?;
         let limit = self.inner.config.max_classes;
-        if label >= limit {
-            return Err(ServeError::InvalidLabel { label, limit });
+        for index in std::iter::once(label).chain(predicted) {
+            if index >= limit {
+                return Err(ServeError::InvalidLabel {
+                    label: index,
+                    limit,
+                });
+            }
         }
-        // Encode outside the learner lock (same discipline as the
-        // engine's trainer): bundling is linear in the integer domain,
-        // so synchronous streaming observations reproduce single-pass
-        // batch training exactly.
+        // Encode outside the learner lock. The learner works in the
+        // *integer* encoding domain (per-sample bipolar accumulator
+        // sums): bundling is linear there, so streaming observations
+        // reproduce single-pass batch training exactly, where bundling
+        // binarized ±1 encodings would collapse on the dark, sparse
+        // datasets of DESIGN.md §4.
         let mut scratch = BitSliceAccumulator::new(tenant.encoder.dim());
         tenant
             .encoder
             .accumulate(input, &mut scratch)
             .map_err(ServeError::Core)?;
         let sums = scratch.bipolar_sums();
-        let mut guard = tenant
-            .learner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        guard
-            .learner
-            .observe_sums(&sums, label)
-            .map_err(ServeError::Core)?;
-        tenant.learn_updates.inc();
-        guard.unpublished += 1;
-        if guard.unpublished >= self.inner.config.snapshot_every {
-            let model = guard.learner.snapshot().map_err(ServeError::Core)?;
-            guard.unpublished = 0;
-            // Publishing while holding the learner lock serializes
-            // learns against update_model re-seeds (same lock order:
-            // learner → model).
-            let generation = tenant.publish(model);
-            self.inner
-                .recorder
-                .event(TraceKind::SnapshotPublished, generation, 1);
-            return Ok(generation);
+        let obs = &self.inner.obs;
+        let mut guard = tenant.learner();
+        let changed = match predicted {
+            None => guard.learner.observe_sums(&sums, label).map(|()| true),
+            Some(p) => guard.learner.feedback_sums(&sums, p, label),
+        };
+        match changed {
+            Ok(true) => {}
+            Ok(false) => {
+                drop(guard);
+                return Ok(tenant.model().0);
+            }
+            Err(e) => {
+                obs.stats.record_learn_rejected();
+                obs.event(
+                    TraceKind::SampleRejected,
+                    label as u64,
+                    predicted.map_or(u64::MAX, |p| p as u64),
+                );
+                return Err(ServeError::Core(e));
+            }
         }
-        drop(guard);
-        Ok(tenant.model().0)
+        tenant.learn_updates.inc();
+        obs.stats.record_learn_update();
+        guard.unpublished += 1;
+        if guard.unpublished < self.inner.config.snapshot_every {
+            drop(guard);
+            return Ok(tenant.model().0);
+        }
+        // Publishing while holding the learner lock serializes learns
+        // against update_model re-seeds (same lock order: learner →
+        // model).
+        self.publish_locked(&tenant, &mut guard)
     }
 
     /// Publish `tenant`'s current learner state as a new model
@@ -467,19 +610,37 @@ impl ModelRegistry {
     /// learner holds no trained class yet.
     pub fn publish(&self, tenant: &str) -> Result<u64, ServeError> {
         let tenant = self.tenant(tenant)?;
-        let mut guard = tenant
-            .learner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let model = guard.learner.snapshot().map_err(ServeError::Core)?;
-        guard.unpublished = 0;
-        Ok(tenant.publish(model))
+        let mut guard = tenant.learner();
+        self.publish_locked(&tenant, &mut guard)
     }
 
-    /// Hot-swap `tenant`'s served model, re-seeding its online learner
-    /// from the new model (exactly
-    /// [`crate::ServeEngine::update_model`]'s semantics, per tenant).
-    /// Returns the new generation.
+    fn publish_locked(
+        &self,
+        tenant: &TenantState,
+        guard: &mut TenantLearner,
+    ) -> Result<u64, ServeError> {
+        let model = guard.learner.snapshot().map_err(ServeError::Core)?;
+        let generation = tenant.publish(model);
+        let obs = &self.inner.obs;
+        obs.stats.record_snapshot();
+        obs.event(
+            TraceKind::SnapshotPublished,
+            generation,
+            guard.unpublished as u64,
+        );
+        guard.unpublished = 0;
+        Ok(generation)
+    }
+
+    /// Hot-swap `tenant`'s served model while requests are in flight
+    /// ("dynamic HDC": a retraining loop can feed refreshed models into
+    /// a live registry). Returns the new generation; requests already
+    /// being answered finish on the generation they snapshotted.
+    ///
+    /// The tenant's online learner is **re-seeded** from the new
+    /// model's class accumulators: subsequent learns continue from the
+    /// swapped-in model, and any unpublished online state is superseded
+    /// (it was trained against the old model).
     ///
     /// # Errors
     ///
@@ -488,33 +649,18 @@ impl ModelRegistry {
     /// [`ServeError::InvalidConfig`] past the class cap.
     pub fn update_model(&self, tenant: &str, model: HdcModel) -> Result<u64, ServeError> {
         let tenant = self.tenant(tenant)?;
-        if model.dim() != tenant.encoder.dim() {
-            return Err(ServeError::ModelShapeMismatch {
-                expected_dim: tenant.encoder.dim(),
-                got_dim: model.dim(),
-            });
-        }
-        if model.classes() > self.inner.config.max_classes {
-            return Err(ServeError::InvalidConfig {
-                reason: format!(
-                    "swapped-in model has {} classes but max_classes is {}",
-                    model.classes(),
-                    self.inner.config.max_classes
-                ),
-            });
-        }
-        let mut guard = tenant
-            .learner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        self.check_model(&tenant.name, tenant.encoder.as_ref(), &model)?;
+        let classes = model.classes() as u64;
+        let mut guard = tenant.learner();
         guard.learner =
             OnlineLearner::from_model(&model).with_max_classes(self.inner.config.max_classes);
         guard.unpublished = 0;
         let generation = tenant.publish(model);
         drop(guard);
+        self.inner.obs.stats.record_swap();
         self.inner
-            .recorder
-            .event(TraceKind::ModelSwapped, generation, 0);
+            .obs
+            .event(TraceKind::ModelSwapped, generation, classes);
         Ok(generation)
     }
 
@@ -552,16 +698,23 @@ impl ModelRegistry {
         self.inner.queue.depth()
     }
 
+    /// Point-in-time registry-wide counters plus the histogram-derived
+    /// submit → completion quantiles and the queue high-water mark.
+    #[must_use]
+    pub fn stats(&self) -> StatsSnapshot {
+        self.inner.obs.snapshot()
+    }
+
     /// Render the registry's full metric set in the Prometheus text
     /// exposition format: registry-wide counters and queue gauges,
     /// per-tenant labelled series (`uhd_tenant_*{tenant="…"}`), the
-    /// end-to-end latency summary, and the process-global kernel
-    /// identity/op counters. Usable **after shutdown** too — the
-    /// registry outlives its worker pool. Empty when telemetry is
-    /// disabled.
+    /// staged latency summaries (per-shard queue-wait and batch-compute,
+    /// registry-wide total), and the process-global kernel identity/op
+    /// counters. Usable **after shutdown** too — the registry outlives
+    /// its worker pool. Empty when telemetry is disabled.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        render_prometheus(&self.inner.recorder)
+        render_prometheus(&self.inner.obs.recorder)
     }
 
     /// Render the registry metrics as JSON (see
@@ -569,7 +722,16 @@ impl ModelRegistry {
     /// telemetry is disabled.
     #[must_use]
     pub fn metrics_json(&self) -> String {
-        self.inner.recorder.render_json()
+        self.inner.obs.recorder.render_json()
+    }
+
+    /// The trace events currently resident in the registry's ring
+    /// buffer, oldest first. Empty unless tracing is enabled (via
+    /// `UHD_LOG` or [`ServeConfig::with_trace_level`]) and telemetry is
+    /// on.
+    #[must_use]
+    pub fn trace_events(&self) -> Vec<TraceEvent> {
+        self.inner.obs.recorder.events()
     }
 
     /// Stop accepting requests, drain everything already admitted, and
@@ -609,7 +771,8 @@ fn validate_tenant_name(name: &str) -> Result<(), ServeError> {
     }
 }
 
-/// Stable ordinal for the dispatched kernel (mirrors the engine's).
+/// Stable ordinal for the dispatched kernel in the
+/// [`TraceKind::KernelDispatched`] event payload.
 fn kernel_ordinal(name: &str) -> u64 {
     match name {
         "avx2" => 1,
@@ -636,23 +799,37 @@ impl ScratchPool {
     }
 }
 
-/// One detached worker: claim a micro-batch (possibly mixing tenants),
-/// answer each request against its own tenant's current model
-/// generation. A panic inside one request (a buggy tenant encoder)
-/// errors that request with [`ServeError::WorkerPanicked`] and the
-/// worker keeps serving — one tenant's poison input must not take down
-/// the shared pool.
-fn worker_loop(inner: &RegistryInner) {
-    let mut batch: Vec<TenantRequest> = Vec::with_capacity(inner.config.max_batch);
+/// One detached worker shard: claim a micro-batch (possibly mixing
+/// tenants), answer each request against its own tenant's current model
+/// generation, and attribute each request's life to queue-wait /
+/// batch-compute / total along the way. A panic inside one request (a
+/// buggy tenant encoder) errors that request with
+/// [`ServeError::WorkerPanicked`] and the worker keeps serving — one
+/// tenant's poison input must not take down the shared pool.
+fn worker_loop(inner: &RegistryInner, shard: usize) {
+    let obs = &inner.obs;
+    let mut batch: Vec<Request> = Vec::with_capacity(inner.config.max_batch);
+    // Shard-local scratch: the bundling planes and the distance buffer
+    // are reused across the shard's lifetime, so steady-state serving
+    // allocates only the per-query hypervector.
     let mut scratch = ScratchPool::default();
     let mut dists: Vec<u32> = Vec::new();
     while inner.queue.pop_batch(inner.config.max_batch, &mut batch) {
+        obs.stats.record_batch(batch.len());
+        obs.event(TraceKind::BatchFormed, shard as u64, batch.len() as u64);
+        // One clock read covers the whole batch's queue-wait stamps.
+        let dequeued_at = Instant::now();
+        for request in &batch {
+            obs.record_queue_wait(
+                shard,
+                dequeued_at.saturating_duration_since(request.submitted_at),
+            );
+        }
         // Consecutive requests for the same tenant (the common case
         // under single-tenant bursts) reuse one model snapshot — but
         // only within this micro-batch. The cache dies at the batch
         // boundary so a publish/hot-swap is visible to the very next
-        // batch even under continuous same-tenant traffic (mirrors the
-        // engine worker's per-batch snapshot).
+        // batch even under continuous same-tenant traffic.
         let mut snapshot: Option<(Arc<TenantState>, u64, Arc<HdcModel>)> = None;
         for request in batch.drain(..) {
             let cached =
@@ -673,32 +850,31 @@ fn worker_loop(inner: &RegistryInner) {
                     &mut dists,
                 )
             }));
-            let outcome = match outcome {
-                Ok(outcome) => outcome,
-                Err(_) => {
-                    // The panic may have left the scratch planes (or
-                    // the snapshot cache) mid-write; rebuild both.
-                    scratch = ScratchPool::default();
-                    snapshot = None;
-                    inner.worker_panics.inc();
-                    Err(ServeError::WorkerPanicked)
-                }
-            };
-            let ok = outcome.is_ok();
-            inner
-                .latency
-                .record_duration(request.submitted_at.elapsed());
-            request.slot.complete(outcome);
-            if ok {
+            let outcome = outcome.unwrap_or_else(|_| {
+                // The panic may have left the scratch planes (or the
+                // snapshot cache) mid-write; rebuild both.
+                scratch = ScratchPool::default();
+                snapshot = None;
+                obs.stats.record_worker_panic();
+                Err(ServeError::WorkerPanicked)
+            });
+            if outcome.is_ok() {
                 request.tenant.completed.inc();
             }
+            // Record before completing: a client returning from its
+            // wait must find its own latency already in the histogram
+            // (count reconciles with the completion counter).
+            obs.record_total(request.submitted_at.elapsed());
+            request.slot.complete(outcome);
         }
+        obs.record_compute(shard, dequeued_at.elapsed());
     }
 }
 
-/// Answer one request against `model` — the same datapaths as the
-/// engine's `answer`, reproduced here because the registry tags
-/// responses with per-tenant generations.
+/// Answer one request against `model`: the allocation-free encode plus
+/// one plane-by-plane pass over the model's bit-sliced associative
+/// memory (bit-identical to [`HdcModel::classify_encoded`], which
+/// delegates to the same search), or the integer-similarity path.
 fn answer(
     encoder: &dyn Encoder,
     model: &HdcModel,
@@ -729,6 +905,7 @@ mod tests {
     use super::*;
     use uhd_core::encoder::uhd::{UhdConfig, UhdEncoder};
     use uhd_core::model::LabelledSamples;
+    use uhd_core::HdcError;
 
     const PIXELS: usize = 8;
 
@@ -898,5 +1075,390 @@ mod tests {
         let metrics = registry.render_metrics();
         assert!(metrics.contains("uhd_queue_depth 0\n"));
         assert!(metrics.contains("uhd_tenant_completed_total{tenant=\"t\"}"));
+    }
+
+    #[test]
+    fn serves_and_matches_the_serial_binarized_path() {
+        let (encoder, model, images, labels) = fixture(256);
+        let serial: Vec<(usize, f64)> = images
+            .iter()
+            .map(|img| {
+                model
+                    .classify_with(encoder.as_ref(), img, InferenceMode::BinarizedQuery)
+                    .unwrap()
+            })
+            .collect();
+        let registry = ModelRegistry::start(ServeConfig::new(2, 4)).unwrap();
+        registry.register("t", encoder, model).unwrap();
+        let responses = registry.classify_many("t", &images).unwrap();
+        assert_eq!(registry.stats().submitted, images.len() as u64);
+        for ((response, serial), &label) in responses.iter().zip(&serial).zip(&labels) {
+            assert_eq!((response.class, response.score), *serial);
+            assert_eq!(response.generation, 0);
+            assert_eq!(response.class, label, "fixture is separable");
+        }
+    }
+
+    #[test]
+    fn integer_mode_matches_serial_default_classify() {
+        let (encoder, model, images, _) = fixture(256);
+        let serial: Vec<(usize, f64)> = images
+            .iter()
+            .map(|img| model.classify(encoder.as_ref(), img).unwrap())
+            .collect();
+        let config = ServeConfig::new(2, 4).with_mode(InferenceMode::IntegerBoth);
+        let registry = ModelRegistry::start(config).unwrap();
+        registry.register("t", encoder, model).unwrap();
+        let responses = registry.classify_many("t", &images).unwrap();
+        for (response, serial) in responses.iter().zip(&serial) {
+            assert_eq!((response.class, response.score), *serial);
+        }
+    }
+
+    #[test]
+    fn rejects_degenerate_configs_and_shape_mismatches() {
+        for config in [ServeConfig::new(0, 4), ServeConfig::new(1, 0)] {
+            assert!(matches!(
+                ModelRegistry::start(config),
+                Err(ServeError::InvalidConfig { .. })
+            ));
+        }
+        let (_, model, _, _) = fixture(256);
+        let small: Arc<dyn Encoder> =
+            Arc::new(UhdEncoder::new(UhdConfig::new(64, PIXELS)).unwrap());
+        let registry = ModelRegistry::start(ServeConfig::new(1, 1)).unwrap();
+        assert!(matches!(
+            registry.register("t", small, model),
+            Err(ServeError::ModelShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn degenerate_learning_configs_are_rejected() {
+        for config in [
+            ServeConfig::new(1, 1).with_snapshot_every(0),
+            ServeConfig::new(1, 1).with_max_classes(0),
+            // A zero shed threshold would reject every request.
+            ServeConfig::new(1, 1).with_shed_above(0),
+        ] {
+            assert!(matches!(
+                ModelRegistry::start(config),
+                Err(ServeError::InvalidConfig { .. })
+            ));
+        }
+        // The model already exceeds the admission cap.
+        let (encoder, model, _, _) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(1, 1).with_max_classes(1)).unwrap();
+        assert!(matches!(
+            registry.register("t", encoder, model),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn submit_rejects_wrong_image_sizes_eagerly() {
+        let (encoder, model, images, _) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(1, 4)).unwrap();
+        registry.register("t", encoder, model).unwrap();
+        assert!(matches!(
+            registry.submit("t", vec![0u8; PIXELS + 1]),
+            Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
+        ));
+        // One bad sample rejects the whole wave before anything queues.
+        let mut wave = images.clone();
+        wave.push(vec![0u8; PIXELS - 1]);
+        assert!(matches!(
+            registry.submit_many("t", &wave),
+            Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
+        ));
+        assert_eq!(registry.stats().submitted, 0);
+    }
+
+    #[test]
+    fn update_model_bumps_generation_and_checks_shape() {
+        let (encoder, model, images, _) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(2, 4)).unwrap();
+        registry.register("t", encoder, model.clone()).unwrap();
+        assert_eq!(registry.generation("t").unwrap(), 0);
+        assert_eq!(registry.update_model("t", model).unwrap(), 1);
+        assert_eq!(registry.generation("t").unwrap(), 1);
+        assert_eq!(registry.classify("t", &images[0]).unwrap().generation, 1);
+        // A model trained at a different dimension is rejected.
+        let (_, tiny_model, _, _) = fixture(64);
+        assert!(matches!(
+            registry.update_model("t", tiny_model),
+            Err(ServeError::ModelShapeMismatch { .. })
+        ));
+        assert_eq!(registry.stats().model_swaps, 1);
+    }
+
+    #[test]
+    fn learn_rejects_bad_inputs_eagerly() {
+        let (encoder, model, _, _) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(1, 4).with_max_classes(4)).unwrap();
+        registry.register("t", encoder, model).unwrap();
+        assert!(matches!(
+            registry.learn("t", &[0u8; PIXELS + 2], 0),
+            Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
+        ));
+        assert!(matches!(
+            registry.learn("t", &[0u8; PIXELS], 4),
+            Err(ServeError::InvalidLabel { label: 4, limit: 4 })
+        ));
+        assert!(matches!(
+            registry.feedback("t", &[0u8; PIXELS], 9, 0),
+            Err(ServeError::InvalidLabel { label: 9, limit: 4 })
+        ));
+        // Nothing reached the learner.
+        let stats = registry.stats();
+        assert_eq!((stats.learn_updates, stats.learn_rejected), (0, 0));
+    }
+
+    #[test]
+    fn learning_publishes_snapshots_and_reconciles_counters() {
+        let (encoder, model, images, labels) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(2, 4).with_snapshot_every(4)).unwrap();
+        registry.register("t", encoder, model).unwrap();
+        for (image, &label) in images.iter().zip(&labels) {
+            registry.learn("t", image, label).unwrap();
+        }
+        // Synchronous learning publishes on the exact cadence: 20
+        // updates at snapshot_every = 4 is 5 generations, no more.
+        let stats = registry.stats();
+        assert_eq!(stats.learn_updates, images.len() as u64);
+        assert_eq!(stats.learn_rejected, 0);
+        assert_eq!(stats.snapshots_published, 5);
+        assert_eq!(stats.model_swaps, 0, "learner publishes are not swaps");
+        assert_eq!(registry.generation("t").unwrap(), 5);
+        // The refreshed generation still separates the fixture.
+        let response = registry.classify("t", &images[0]).unwrap();
+        assert_eq!((response.class, response.generation), (labels[0], 5));
+    }
+
+    #[test]
+    fn correct_feedback_publishes_nothing() {
+        let (encoder, model, images, labels) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(1, 4).with_snapshot_every(1)).unwrap();
+        registry.register("t", encoder, model).unwrap();
+        // Feedback agreeing with the label applies no update, so even a
+        // publish-every-update cadence has nothing to publish.
+        for (image, &label) in images.iter().zip(&labels) {
+            assert_eq!(registry.feedback("t", image, label, label).unwrap(), 0);
+        }
+        let stats = registry.stats();
+        assert_eq!((stats.learn_updates, stats.snapshots_published), (0, 0));
+        assert_eq!(registry.generation("t").unwrap(), 0);
+        // A misprediction does correct, and publishes.
+        assert_eq!(
+            registry
+                .feedback("t", &images[0], 1 - labels[0], labels[0])
+                .unwrap(),
+            1
+        );
+    }
+
+    #[test]
+    fn reregistered_tenant_scrapes_generation_zero() {
+        // Regression: the recorder hands back the existing gauge cell
+        // for a re-registered name, and `register` never reset it, so
+        // the scrape kept the old tenant's last generation.
+        let (encoder, model, _, _) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(1, 2)).unwrap();
+        registry
+            .register("t", Arc::clone(&encoder), model.clone())
+            .unwrap();
+        registry.update_model("t", model.clone()).unwrap();
+        registry.update_model("t", model.clone()).unwrap();
+        assert!(registry
+            .render_metrics()
+            .contains("uhd_tenant_generation{tenant=\"t\"} 2\n"));
+        registry.deregister("t").unwrap();
+        registry.register("t", encoder, model).unwrap();
+        assert_eq!(registry.generation("t").unwrap(), 0);
+        let metrics = registry.render_metrics();
+        assert!(
+            metrics.contains("uhd_tenant_generation{tenant=\"t\"} 0\n"),
+            "stale generation scraped:\n{metrics}"
+        );
+    }
+
+    /// Delegates to a real encoder but panics on a poison image —
+    /// stands in for a buggy user-supplied `Encoder`.
+    struct PanickingEncoder(UhdEncoder);
+
+    impl Encoder for PanickingEncoder {
+        fn dim(&self) -> u32 {
+            self.0.dim()
+        }
+        fn features(&self) -> usize {
+            self.0.features()
+        }
+        fn accumulate(&self, image: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
+            assert!(image[0] != 255, "poison image");
+            self.0.accumulate(image, acc)
+        }
+        fn profile(&self) -> uhd_core::EncoderProfile {
+            self.0.profile()
+        }
+    }
+
+    #[test]
+    fn worker_panic_fails_requests_instead_of_deadlocking() {
+        // A poison tenant and a healthy tenant share one pool: the
+        // poison request fails with WorkerPanicked, the worker survives,
+        // and the healthy tenant keeps answering bit-identically to its
+        // serial path.
+        let (healthy, model, images, _) = fixture(256);
+        let poison: Arc<dyn Encoder> = Arc::new(PanickingEncoder(
+            UhdEncoder::new(UhdConfig::new(256, PIXELS)).unwrap(),
+        ));
+        let registry = ModelRegistry::start(ServeConfig::new(2, 4)).unwrap();
+        registry.register("poison", poison, model.clone()).unwrap();
+        registry
+            .register("healthy", Arc::clone(&healthy), model.clone())
+            .unwrap();
+        let doomed = registry.submit("poison", vec![255u8; PIXELS]).unwrap();
+        let tickets = registry.submit_many("healthy", &images).unwrap();
+        assert!(matches!(doomed.wait(), Err(ServeError::WorkerPanicked)));
+        for (ticket, image) in tickets.into_iter().zip(&images) {
+            let serial = model
+                .classify_with(healthy.as_ref(), image, InferenceMode::BinarizedQuery)
+                .unwrap();
+            let got = ticket.wait().unwrap();
+            assert_eq!((got.class, got.score), serial);
+        }
+        // The poison tenant itself still answers clean inputs.
+        assert!(registry.classify("poison", &images[0]).is_ok());
+        assert_eq!(registry.stats().worker_panics, 1);
+        assert!(registry
+            .render_metrics()
+            .contains("uhd_worker_panics_total 1\n"));
+    }
+
+    /// Parks every encode until the gate opens, so a test can hold the
+    /// lone worker busy and fill the queue deterministically.
+    struct GateEncoder {
+        inner: UhdEncoder,
+        gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    impl Encoder for GateEncoder {
+        fn dim(&self) -> u32 {
+            self.inner.dim()
+        }
+        fn features(&self) -> usize {
+            self.inner.features()
+        }
+        fn accumulate(&self, image: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
+            let (open, released) = &*self.gate;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = released.wait(open).unwrap();
+            }
+            drop(open);
+            self.inner.accumulate(image, acc)
+        }
+        fn profile(&self) -> uhd_core::EncoderProfile {
+            self.inner.profile()
+        }
+    }
+
+    #[test]
+    fn admission_control_sheds_past_the_threshold() {
+        let (_, model, images, _) = fixture(256);
+        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let gated: Arc<dyn Encoder> = Arc::new(GateEncoder {
+            inner: UhdEncoder::new(UhdConfig::new(256, PIXELS)).unwrap(),
+            gate: Arc::clone(&gate),
+        });
+        let registry = ModelRegistry::start(ServeConfig::new(1, 1).with_shed_above(2)).unwrap();
+        registry.register("t", gated, model).unwrap();
+        // The lone worker claims the first request and parks in the
+        // gated encoder, leaving the queue empty.
+        let parked = registry.submit("t", images[0].clone()).unwrap();
+        while registry.queue_depth() != 0 {
+            std::thread::yield_now();
+        }
+        // Fill the queue to the threshold…
+        let queued = [
+            registry.submit("t", images[0].clone()).unwrap(),
+            registry.submit("t", images[1].clone()).unwrap(),
+        ];
+        // …past it, the single-lock depth check says no.
+        match registry.submit("t", images[2].clone()) {
+            Err(ServeError::Overloaded { depth, shed_above }) => {
+                assert_eq!(depth, 2);
+                assert_eq!(shed_above, 2);
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        // Waves are shed whole against the same threshold.
+        assert!(matches!(
+            registry.submit_many("t", &images[..1]),
+            Err(ServeError::Overloaded { .. })
+        ));
+        assert_eq!(registry.stats().requests_shed, 2);
+        assert_eq!(registry.stats().submitted, 3);
+        // Open the gate: everything admitted still completes.
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        assert!(parked.wait().is_ok());
+        for ticket in queued {
+            assert!(ticket.wait().is_ok());
+        }
+    }
+
+    #[test]
+    fn poisoned_locks_recover_instead_of_bricking_the_registry() {
+        // Regression: every model/learner lock used to
+        // `expect("… lock poisoned")`, so one writer panicking while
+        // holding a guard turned every subsequent classify into a
+        // panic. Swaps are torn-free Arc replacements, so recovery is
+        // sound — verify the pool keeps serving.
+        let (encoder, model, images, labels) = fixture(256);
+        let registry = ModelRegistry::start(ServeConfig::new(1, 4)).unwrap();
+        registry.register("t", encoder, model.clone()).unwrap();
+        let tenant = registry.tenant("t").unwrap();
+        // A writer dies while holding the model lock.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = tenant.model.write().unwrap();
+            panic!("writer dies mid-swap");
+        }));
+        assert!(tenant.model.is_poisoned());
+        // Classifies, generation reads and hot swaps still work.
+        assert_eq!(registry.classify("t", &images[0]).unwrap().class, labels[0]);
+        assert_eq!(registry.generation("t").unwrap(), 0);
+        assert_eq!(registry.update_model("t", model).unwrap(), 1);
+        assert_eq!(registry.classify("t", &images[1]).unwrap().generation, 1);
+        // Same for the learner lock: online learning continues.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = tenant.learner.lock().unwrap();
+            panic!("learner writer dies");
+        }));
+        assert!(tenant.learner.is_poisoned());
+        registry.learn("t", &images[0], labels[0]).unwrap();
+        assert_eq!(registry.stats().learn_updates, 1);
+        assert_eq!(registry.classify("t", &images[0]).unwrap().class, labels[0]);
+    }
+
+    #[test]
+    fn rematerialized_encoders_serve_identically() {
+        // A fleet host can swap the resident threshold planes for the
+        // O(seed) rematerialized backend without changing a single
+        // answer: both encoders derive the same rows.
+        let (resident, model, images, _) = fixture(256);
+        let remat = UhdEncoder::new(UhdConfig::new(256, PIXELS).rematerialized()).unwrap();
+        assert!(
+            remat.profile().resident_bytes < resident.profile().resident_bytes,
+            "rematerialized serving must hold less heap than resident serving"
+        );
+        let registry = ModelRegistry::start(ServeConfig::new(1, 2)).unwrap();
+        registry
+            .register("resident", resident, model.clone())
+            .unwrap();
+        registry.register("remat", Arc::new(remat), model).unwrap();
+        let a = registry.classify_many("resident", &images).unwrap();
+        let b = registry.classify_many("remat", &images).unwrap();
+        assert_eq!(a, b);
     }
 }

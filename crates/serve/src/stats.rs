@@ -1,15 +1,14 @@
-//! Engine counters: cheap relaxed atomics updated on the hot path,
-//! snapshotted on demand.
+//! Registry-wide counters: cheap relaxed atomics updated on the hot
+//! path, snapshotted on demand.
 //!
-//! Since the observability PR the counters are [`uhd_obs::Counter`] /
-//! [`uhd_obs::Gauge`] handles registered on the engine's
-//! [`uhd_obs::Recorder`], so the same cells that back
-//! [`StatsSnapshot`] also appear in `ServeEngine::render_metrics` —
-//! one set of numbers, two views.
+//! The counters are [`uhd_obs::Counter`] / [`uhd_obs::Gauge`] handles
+//! registered on the registry's [`uhd_obs::Recorder`], so the same
+//! cells that back [`StatsSnapshot`] also appear in
+//! `ModelRegistry::render_metrics` — one set of numbers, two views.
 
 use uhd_obs::{Counter, Gauge, Recorder};
 
-/// Internal counters owned by the engine, registered on its recorder
+/// Internal counters owned by the registry, registered on its recorder
 /// under the `uhd_*` metric names shown in the exposition.
 #[derive(Debug)]
 pub(crate) struct EngineStats {
@@ -19,15 +18,14 @@ pub(crate) struct EngineStats {
     batches: Counter,
     largest_batch: Gauge,
     model_swaps: Counter,
-    learn_submitted: Counter,
-    learn_consumed: Counter,
     learn_updates: Counter,
     learn_rejected: Counter,
     snapshots_published: Counter,
+    worker_panics: Counter,
 }
 
 impl EngineStats {
-    /// Register the engine counter set on `recorder`.
+    /// Register the registry counter set on `recorder`.
     pub(crate) fn new(recorder: &Recorder) -> Self {
         EngineStats {
             submitted: recorder.counter("uhd_requests_submitted_total"),
@@ -36,19 +34,14 @@ impl EngineStats {
             batches: recorder.counter("uhd_batches_total"),
             largest_batch: recorder.gauge("uhd_largest_batch"),
             model_swaps: recorder.counter("uhd_model_swaps_total"),
-            learn_submitted: recorder.counter("uhd_learn_submitted_total"),
-            learn_consumed: recorder.counter("uhd_learn_consumed_total"),
             learn_updates: recorder.counter("uhd_learn_updates_total"),
             learn_rejected: recorder.counter("uhd_learn_rejected_total"),
             snapshots_published: recorder.counter("uhd_snapshots_published_total"),
+            worker_panics: recorder.counter("uhd_worker_panics_total"),
         }
     }
 
-    pub(crate) fn record_submit(&self) {
-        self.submitted.inc();
-    }
-
-    pub(crate) fn record_submit_many(&self, n: usize) {
+    pub(crate) fn record_submit(&self, n: usize) {
         self.submitted.add(n as u64);
     }
 
@@ -66,14 +59,6 @@ impl EngineStats {
         self.model_swaps.inc();
     }
 
-    pub(crate) fn record_learn_submit(&self) {
-        self.learn_submitted.inc();
-    }
-
-    pub(crate) fn record_learn_consumed(&self, n: u64) {
-        self.learn_consumed.add(n);
-    }
-
     pub(crate) fn record_learn_update(&self) {
         self.learn_updates.inc();
     }
@@ -84,6 +69,10 @@ impl EngineStats {
 
     pub(crate) fn record_snapshot(&self) {
         self.snapshots_published.inc();
+    }
+
+    pub(crate) fn record_worker_panic(&self) {
+        self.worker_panics.inc();
     }
 
     /// Assemble a [`StatsSnapshot`] from the counters plus the
@@ -98,16 +87,13 @@ impl EngineStats {
             batches: self.batches.get(),
             largest_batch: self.largest_batch.get(),
             model_swaps: self.model_swaps.get(),
-            learn_submitted: self.learn_submitted.get(),
-            learn_consumed: self.learn_consumed.get(),
             learn_updates: self.learn_updates.get(),
             learn_rejected: self.learn_rejected.get(),
             snapshots_published: self.snapshots_published.get(),
+            worker_panics: self.worker_panics.get(),
             queue_depth_hw: latency.queue_depth_hw,
             p50_us: latency.p50_us,
             p99_us: latency.p99_us,
-            learn_p50_us: latency.learn_p50_us,
-            learn_p99_us: latency.learn_p99_us,
         }
     }
 }
@@ -118,11 +104,9 @@ pub(crate) struct LatencyFigures {
     pub(crate) queue_depth_hw: u64,
     pub(crate) p50_us: u64,
     pub(crate) p99_us: u64,
-    pub(crate) learn_p50_us: u64,
-    pub(crate) learn_p99_us: u64,
 }
 
-/// A point-in-time view of the engine counters.
+/// A point-in-time view of the registry counters, summed over tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Name of the popcount/distance kernel the inference hot path
@@ -131,53 +115,47 @@ pub struct StatsSnapshot {
     /// telemetry and `BENCH_*.json` trajectories are attributable to
     /// the instruction set actually used.
     pub kernel: &'static str,
-    /// Requests accepted by [`crate::ServeEngine::submit`].
+    /// Requests accepted by [`crate::ModelRegistry::submit`] /
+    /// [`crate::ModelRegistry::submit_many`].
     pub submitted: u64,
     /// Requests rejected by load-shedding admission control (queue
     /// depth at or above the configured `shed_above` threshold); each
     /// returned [`crate::ServeError::Overloaded`] to its caller.
     pub requests_shed: u64,
-    /// Requests answered by a worker shard.
+    /// Requests answered by a worker shard (successfully or not).
     pub completed: u64,
     /// Micro-batches executed across all shards.
     pub batches: u64,
     /// Largest micro-batch observed.
     pub largest_batch: u64,
-    /// Models hot-swapped in via [`crate::ServeEngine::update_model`].
+    /// Models hot-swapped in via [`crate::ModelRegistry::update_model`].
     pub model_swaps: u64,
-    /// Labelled samples accepted by [`crate::ServeEngine::learn`] /
-    /// [`crate::ServeEngine::feedback`].
-    pub learn_submitted: u64,
-    /// Labelled samples the background trainer has finished applying.
-    /// Reconciles with `learn_submitted` after
-    /// [`crate::ServeEngine::sync_learner`].
-    pub learn_consumed: u64,
-    /// Samples that actually modified the learner's class accumulators
+    /// Samples that actually modified a learner's class accumulators
     /// (every observation, plus mispredicted feedback).
     pub learn_updates: u64,
-    /// Samples the learner rejected (e.g. a label past the admission
-    /// cap, or feedback naming a class the learner never admitted).
-    /// Each rejection also emits a `SampleRejected` trace event
-    /// carrying the offending label.
+    /// Samples that passed submit-side validation but the learner
+    /// rejected (e.g. feedback naming a prediction the learner never
+    /// admitted as a class). Each rejection also emits a
+    /// `SampleRejected` trace event carrying the offending label.
     pub learn_rejected: u64,
-    /// Rebinarized model snapshots the background trainer published
-    /// through the hot-swap path (not counted in `model_swaps`).
+    /// Rebinarized learner snapshots published through the hot-swap
+    /// path, on the `snapshot_every` cadence or by
+    /// [`crate::ModelRegistry::publish`] (not counted in `model_swaps`).
     pub snapshots_published: u64,
-    /// High-water mark of the request queue depth — the signal the
-    /// ROADMAP's load-shedding item needs.
+    /// Requests whose answering panicked (a buggy tenant encoder); each
+    /// returned [`crate::ServeError::WorkerPanicked`] and the worker
+    /// kept serving.
+    pub worker_panics: u64,
+    /// High-water mark of the request queue depth — the signal
+    /// load-shedding thresholds are tuned against.
     pub queue_depth_hw: u64,
     /// Median end-to-end request latency (submit → response) in
-    /// microseconds, from the engine's lock-free histogram. 0 until a
+    /// microseconds, from the registry's lock-free histogram. 0 until a
     /// request completes; bounded relative error
     /// [`uhd_obs::RELATIVE_ERROR`].
     pub p50_us: u64,
     /// 99th-percentile end-to-end request latency in microseconds.
     pub p99_us: u64,
-    /// Median learn-path drain lag (sample submit → applied by the
-    /// background trainer) in microseconds.
-    pub learn_p50_us: u64,
-    /// 99th-percentile learn-path drain lag in microseconds.
-    pub learn_p99_us: u64,
 }
 
 impl StatsSnapshot {
@@ -201,23 +179,19 @@ mod tests {
     fn counters_accumulate() {
         let recorder = Recorder::new(TraceLevel::Off);
         let stats = EngineStats::new(&recorder);
-        stats.record_submit();
-        stats.record_submit();
+        stats.record_submit(1);
+        stats.record_submit(1);
         stats.record_shed();
         stats.record_batch(2);
         stats.record_swap();
-        stats.record_learn_submit();
-        stats.record_learn_submit();
-        stats.record_learn_consumed(2);
         stats.record_learn_update();
         stats.record_learn_rejected();
         stats.record_snapshot();
+        stats.record_worker_panic();
         let snap = stats.snapshot(LatencyFigures {
             queue_depth_hw: 3,
             p50_us: 100,
             p99_us: 900,
-            learn_p50_us: 40,
-            learn_p99_us: 70,
         });
         assert_eq!(snap.kernel, uhd_core::kernels::Kernel::active().name());
         assert_eq!(snap.submitted, 2);
@@ -226,14 +200,12 @@ mod tests {
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.largest_batch, 2);
         assert_eq!(snap.model_swaps, 1);
-        assert_eq!(snap.learn_submitted, 2);
-        assert_eq!(snap.learn_consumed, 2);
         assert_eq!(snap.learn_updates, 1);
         assert_eq!(snap.learn_rejected, 1);
         assert_eq!(snap.snapshots_published, 1);
+        assert_eq!(snap.worker_panics, 1);
         assert_eq!(snap.queue_depth_hw, 3);
         assert_eq!((snap.p50_us, snap.p99_us), (100, 900));
-        assert_eq!((snap.learn_p50_us, snap.learn_p99_us), (40, 70));
         assert!((snap.mean_batch() - 2.0).abs() < f64::EPSILON);
     }
 
@@ -241,7 +213,7 @@ mod tests {
     fn counters_surface_in_the_recorder_exposition() {
         let recorder = Recorder::new(TraceLevel::Off);
         let stats = EngineStats::new(&recorder);
-        stats.record_submit();
+        stats.record_submit(1);
         stats.record_batch(1);
         let text = recorder.render_text();
         assert!(text.contains("uhd_requests_submitted_total 1\n"));

@@ -228,9 +228,15 @@ fn admission_control_sheds_past_the_threshold() {
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }
+    // Waves are shed whole against the same threshold.
+    assert!(matches!(
+        registry.submit_many("t", &images[3..4]),
+        Err(ServeError::Overloaded { depth: 2, .. })
+    ));
     let metrics = registry.render_metrics();
-    assert!(metrics.contains("uhd_requests_shed_total 1\n"));
-    assert!(metrics.contains("uhd_tenant_shed_total{tenant=\"t\"} 1\n"));
+    assert!(metrics.contains("uhd_requests_shed_total 2\n"));
+    assert!(metrics.contains("uhd_tenant_shed_total{tenant=\"t\"} 2\n"));
+    assert_eq!(registry.stats().submitted, 3);
     // Open the gate: everything admitted completes.
     *gate.0.lock().unwrap() = true;
     gate.1.notify_all();
