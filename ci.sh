@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the uHD workspace.
 #
-#   ./ci.sh            fmt check, clippy -D warnings, release build,
-#                      full test suite, bench compile check
+#   ./ci.sh            fmt check, clippy -D warnings, rustdoc -D warnings,
+#                      release build, full test suite, bench compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
 #                      binary and example (UHD_BENCH_QUICK + tiny sizes)
 set -euo pipefail
@@ -23,6 +23,9 @@ cargo fmt --all --check
 
 step "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+step "cargo doc --no-deps (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 step "cargo build --release"
 cargo build --release

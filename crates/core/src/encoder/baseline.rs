@@ -191,30 +191,6 @@ impl BaselineEncoder {
         self.levels = ItemMemory::from_rows("level", levels).expect("validated shape cannot fail");
     }
 
-    /// The position hypervectors (one per pixel), when resident.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::TableNotResident`] on the rematerialized backend —
-    /// use [`BaselineEncoder::position_memory`] to derive rows instead.
-    pub fn position_hypervectors(&self) -> Result<&[Hypervector], HdcError> {
-        self.positions
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "position" })
-    }
-
-    /// The level hypervectors (one per intensity level), when resident.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::TableNotResident`] on the rematerialized backend —
-    /// use [`BaselineEncoder::level_memory`] to derive rows instead.
-    pub fn level_hypervectors(&self) -> Result<&[Hypervector], HdcError> {
-        self.levels
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "level" })
-    }
-
     /// The position item memory (any backend).
     #[must_use]
     pub fn position_memory(&self) -> &ItemMemory {
@@ -324,8 +300,8 @@ mod tests {
     #[test]
     fn tables_have_expected_shapes() {
         let enc = small_encoder(1);
-        assert_eq!(enc.position_hypervectors().unwrap().len(), 16);
-        assert_eq!(enc.level_hypervectors().unwrap().len(), 4);
+        assert_eq!(enc.position_memory().rows(), 16);
+        assert_eq!(enc.level_memory().rows(), 4);
         assert_eq!(enc.dim(), 256);
     }
 
@@ -338,9 +314,9 @@ mod tests {
 
         let mut reference = DenseAccumulator::new(256);
         for (pixel, &v) in image.iter().enumerate() {
-            let bound = enc.position_hypervectors().unwrap()[pixel]
-                .bind(&enc.level_hypervectors().unwrap()[enc.level_of(v) as usize])
-                .unwrap();
+            let p = enc.position_memory().row_hypervector(pixel as u32).unwrap();
+            let l = enc.level_memory().row_hypervector(enc.level_of(v)).unwrap();
+            let bound = p.bind(&l).unwrap();
             reference.add_hypervector(&bound).unwrap();
         }
         let rc: Vec<u64> = reference.counts().iter().map(|&c| c as u64).collect();
@@ -381,10 +357,10 @@ mod tests {
     #[test]
     fn regenerate_changes_tables() {
         let mut enc = small_encoder(6);
-        let before = enc.position_hypervectors().unwrap()[0].clone();
+        let before = enc.position_memory().row_hypervector(0).unwrap();
         let mut rng = Xoshiro256StarStar::seeded(777);
         enc.regenerate(&mut rng);
-        assert_ne!(enc.position_hypervectors().unwrap()[0], before);
+        assert_ne!(enc.position_memory().row_hypervector(0).unwrap(), before);
     }
 
     #[test]
@@ -407,37 +383,12 @@ mod tests {
 
     #[test]
     fn from_seed_is_bit_identical_across_backends() {
-        let config = BaselineConfig::new(300, 12, 8);
+        // More positions than the rematerialized hot-row prefix holds.
+        let config = BaselineConfig::new(300, 100, 8);
         let res = BaselineEncoder::from_seed(config.clone(), 99, MemoryBackend::Resident).unwrap();
-        let rem = BaselineEncoder::from_seed(
-            config,
-            99,
-            MemoryBackend::Rematerialized { cached_rows: 4 },
-        )
-        .unwrap();
-        let image: Vec<u8> = (0..12).map(|i| (i * 21) as u8).collect();
+        let rem = BaselineEncoder::from_seed(config, 99, MemoryBackend::Rematerialized).unwrap();
+        let image: Vec<u8> = (0..100).map(|i| (i * 21) as u8).collect();
         assert_eq!(res.encode(&image).unwrap(), rem.encode(&image).unwrap());
         assert!(res.profile().resident_bytes > rem.profile().resident_bytes);
-    }
-
-    #[test]
-    fn rematerialized_accessors_error_not_panic() {
-        let enc = BaselineEncoder::from_seed(
-            BaselineConfig::new(128, 4, 4),
-            1,
-            MemoryBackend::Rematerialized { cached_rows: 0 },
-        )
-        .unwrap();
-        assert!(matches!(
-            enc.position_hypervectors(),
-            Err(HdcError::TableNotResident { what: "position" })
-        ));
-        assert!(matches!(
-            enc.level_hypervectors(),
-            Err(HdcError::TableNotResident { what: "level" })
-        ));
-        // The item-memory view still serves every row.
-        assert_eq!(enc.position_memory().rows(), 4);
-        assert!(enc.position_memory().row_hypervector(3).is_ok());
     }
 }

@@ -70,10 +70,10 @@ pub struct EncoderProfile {
     /// Memory backend the encoder's item memories run on.
     pub backend: MemoryBackend,
     /// Table state actually resident on this instance's heap, in bytes:
-    /// materialized rows plus rematerialization caches. Unlike
+    /// materialized rows plus rematerialized hot-row prefixes. Unlike
     /// [`EncoderProfile::table_bytes`] — the cost model's *nominal*
     /// storage for the design — this figure reflects the backend, so a
-    /// rematerialized encoder reports O(cache) here while still quoting
+    /// rematerialized encoder reports O(prefix) here while still quoting
     /// the hardware table size above.
     pub resident_bytes: u64,
 }

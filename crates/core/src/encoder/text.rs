@@ -81,7 +81,7 @@ impl NgramTextConfig {
     /// The same configuration on the rematerialized backend.
     #[must_use]
     pub fn rematerialized(mut self) -> Self {
-        self.backend = MemoryBackend::rematerialized();
+        self.backend = MemoryBackend::Rematerialized;
         self
     }
 

@@ -12,10 +12,13 @@
 //! comparison runs in the unary domain (paper Fig. 3–4). Three encoding
 //! paths are provided, all proven equivalent where they overlap:
 //!
-//! * the **plane-table path** ([`UhdEncoder`]) — pre-computed per-pixel
-//!   threshold bit-planes, the fast path used for training and benches;
+//! * the **plane-table path** ([`UhdEncoder`]) — one row of the per-pixel
+//!   threshold bit-plane [`ItemMemory`] per pixel, resident or
+//!   rematerialized; the fast path used for training and benches;
 //! * the **unary gate path** ([`UhdEncoder::encode_via_unary`]) — every
-//!   comparison walks the Fig. 4 comparator on UST-fetched streams;
+//!   comparison walks the Fig. 4 comparator on UST-fetched streams, with
+//!   the Sobol scalars re-derived from the family, never read from the
+//!   plane table it checks;
 //! * the **exact path** ([`UhdExactEncoder`]) — unquantized fixed-point
 //!   comparison, used to measure what quantization costs (the paper
 //!   claims: nothing measurable).
@@ -145,10 +148,10 @@ impl UhdConfig {
 
     /// The same configuration on the rematerialized backend: planes
     /// regenerate from the LD family on demand, so a fleet of encoders
-    /// costs O(cache) heap each instead of O(H·ξ·D) bits.
+    /// costs a 64-row hot prefix of heap each instead of O(H·ξ·D) bits.
     #[must_use]
     pub fn rematerialized(mut self) -> Self {
-        self.backend = MemoryBackend::rematerialized();
+        self.backend = MemoryBackend::Rematerialized;
         self
     }
 
@@ -182,18 +185,12 @@ pub struct UhdEncoder {
     /// materialize via scatter + prefix-OR; rematerialized tables
     /// derive rows from the LD family on demand.
     planes: ItemMemory,
-    /// Quantized Sobol scalars `Q(S_p[j])`, flattened `[pixel][dim]` —
-    /// exactly the M-bit values the hardware keeps in BRAM (Fig. 3(a)).
-    /// Materialized only on the resident backend; rematerialized
-    /// encoders recompute a pixel's column on demand.
-    sobol_q: Vec<u8>,
-    words: usize,
 }
 
 impl UhdEncoder {
-    /// Build the encoder (generates and quantizes all per-pixel
-    /// sequences, then compiles the threshold planes — or, on the
-    /// rematerialized backend, validates the recipe and stores only it).
+    /// Build the encoder (compiles the threshold planes from the
+    /// quantized per-pixel sequences — or, on the rematerialized
+    /// backend, validates the recipe and stores only it).
     ///
     /// # Errors
     ///
@@ -203,7 +200,6 @@ impl UhdEncoder {
     pub fn new(config: UhdConfig) -> Result<Self, HdcError> {
         config.validate()?;
         let quantizer = Quantizer::new(config.levels)?;
-        let wc = words_for_dim(config.dim);
         let rows = u32::try_from(config.pixels)
             .ok()
             .and_then(|p| p.checked_mul(config.levels))
@@ -220,25 +216,10 @@ impl UhdEncoder {
             },
             config.backend,
         )?;
-        let sobol_q = if planes.is_resident() {
-            let dim = config.dim as usize;
-            let mut q = vec![0u8; config.pixels * dim];
-            for pixel in 0..config.pixels {
-                let values = config.family.values(pixel, dim)?;
-                for (j, &s) in values.iter().enumerate() {
-                    q[pixel * dim + j] = quantizer.quantize_unit(s) as u8;
-                }
-            }
-            q
-        } else {
-            Vec::new()
-        };
         Ok(UhdEncoder {
             config,
             quantizer,
             planes,
-            sobol_q,
-            words: wc,
         })
     }
 
@@ -260,110 +241,14 @@ impl UhdEncoder {
         self.quantizer.quantize_u8(intensity)
     }
 
-    /// The quantized Sobol scalar `Q(S_pixel[dim])`.
-    ///
-    /// O(1) on the resident backend; on the rematerialized backend this
-    /// regenerates the pixel's sequence, costing O(D) per call — batch
-    /// callers should use [`UhdEncoder::quantized_pixel_levels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixel` or `dim` are out of range.
-    #[must_use]
-    pub fn sobol_level(&self, pixel: usize, dim: usize) -> u32 {
-        assert!(pixel < self.config.pixels && dim < self.config.dim as usize);
-        if self.sobol_q.is_empty() {
-            let mut column = Vec::new();
-            self.quantized_pixel_levels(pixel, &mut column)
-                .expect("family validated at construction");
-            u32::from(column[dim])
-        } else {
-            u32::from(self.sobol_q[pixel * self.config.dim as usize + dim])
-        }
-    }
-
-    /// Fill `out` with the quantized scalars `Q(S_pixel[0..D])` of one
-    /// pixel. Works on both backends (copies on the resident one).
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::IndexOutOfRange`] for a bad pixel.
-    pub fn quantized_pixel_levels(&self, pixel: usize, out: &mut Vec<u8>) -> Result<(), HdcError> {
-        if pixel >= self.config.pixels {
-            return Err(HdcError::IndexOutOfRange {
-                what: "pixel",
-                index: pixel,
-                len: self.config.pixels,
-            });
-        }
-        let dim = self.config.dim as usize;
-        out.clear();
-        if self.sobol_q.is_empty() {
-            let values = self.config.family.values(pixel, dim)?;
-            out.extend(
-                values
-                    .iter()
-                    .map(|&s| self.quantizer.quantize_unit(s) as u8),
-            );
-        } else {
-            out.extend_from_slice(&self.sobol_q[pixel * dim..(pixel + 1) * dim]);
-        }
-        Ok(())
-    }
-
-    /// The packed level-hypervector mask for (`pixel`, quantized level),
-    /// borrowed from the resident plane table.
-    ///
-    /// Bit `j` is 1 iff the hypervector element is +1.
-    ///
-    /// # Errors
-    ///
-    /// * [`HdcError::IndexOutOfRange`] for a bad pixel or level.
-    /// * [`HdcError::TableNotResident`] on the rematerialized backend —
-    ///   use [`UhdEncoder::pixel_mask_into`] there.
-    pub fn pixel_mask(&self, pixel: usize, level: u32) -> Result<&[u64], HdcError> {
-        self.check_mask_args(pixel, level)?;
-        let rows = self
-            .planes
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "plane" })?;
-        Ok(rows[pixel * self.config.levels as usize + level as usize].words())
-    }
-
-    /// [`UhdEncoder::pixel_mask`] for any backend: resident rows are
-    /// borrowed from the table, rematerialized rows are derived into
-    /// `scratch` and borrowed from there.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::IndexOutOfRange`] for a bad pixel or level.
-    pub fn pixel_mask_into<'a>(
-        &'a self,
-        pixel: usize,
-        level: u32,
-        scratch: &'a mut Vec<u64>,
-    ) -> Result<&'a [u64], HdcError> {
-        self.check_mask_args(pixel, level)?;
-        self.planes
-            .row(pixel as u32 * self.config.levels + level, scratch)
-    }
-
-    fn check_mask_args(&self, pixel: usize, level: u32) -> Result<(), HdcError> {
-        if pixel >= self.config.pixels {
-            return Err(HdcError::IndexOutOfRange {
-                what: "pixel",
-                index: pixel,
-                len: self.config.pixels,
-            });
-        }
-        if level >= self.config.levels {
-            return Err(HdcError::IndexOutOfRange {
-                what: "level",
-                index: level as usize,
-                len: self.config.levels as usize,
-            });
-        }
-        Ok(())
+    /// The quantized scalars `Q(S_pixel[0..D])` of one pixel, derived
+    /// from the LD family rather than read back from the plane table.
+    fn quantized_column(&self, pixel: usize) -> Result<Vec<u32>, HdcError> {
+        let values = self.config.family.values(pixel, self.config.dim as usize)?;
+        Ok(values
+            .iter()
+            .map(|&s| self.quantizer.quantize_unit(s))
+            .collect())
     }
 
     /// Gate-faithful encoding: every hypervector bit is produced by the
@@ -383,15 +268,12 @@ impl UhdEncoder {
     ) -> Result<Hypervector, HdcError> {
         check_feature_len(self.config.pixels, image)?;
         let mut acc = BitSliceAccumulator::new(self.config.dim);
-        let wc = self.words;
-        let mut mask = vec![0u64; wc];
-        let mut column = Vec::new();
+        let mut mask = vec![0u64; words_for_dim(self.config.dim)];
         for (pixel, &v) in image.iter().enumerate() {
             let data = ust.fetch(self.level_of(v))?;
-            self.quantized_pixel_levels(pixel, &mut column)?;
             mask.fill(0);
-            for (j, &q) in column.iter().enumerate() {
-                let sobol = ust.fetch(u32::from(q))?;
+            for (j, &q) in self.quantized_column(pixel)?.iter().enumerate() {
+                let sobol = ust.fetch(q)?;
                 if unary_geq(data, sobol)? {
                     mask[j / 64] |= 1u64 << (j % 64);
                 }
@@ -415,23 +297,12 @@ impl Encoder for UhdEncoder {
         check_feature_len(self.config.pixels, image)?;
         check_acc(self.config.dim, acc)?;
         let levels = self.config.levels;
-        if let Some(rows) = self.planes.resident_rows() {
-            for (pixel, &v) in image.iter().enumerate() {
-                let level = self.level_of(v);
-                // Arguments are in range by the checks above plus the
-                // quantizer's contract.
-                debug_assert!(pixel < self.config.pixels && level < levels);
-                acc.add_mask(rows[pixel * levels as usize + level as usize].words());
-            }
-        } else {
-            let mut scratch = Vec::with_capacity(self.words);
-            for (pixel, &v) in image.iter().enumerate() {
-                let level = self.level_of(v);
-                let mask = self
-                    .planes
-                    .row(pixel as u32 * levels + level, &mut scratch)?;
-                acc.add_mask(mask);
-            }
+        let mut scratch = Vec::new();
+        for (pixel, &v) in image.iter().enumerate() {
+            let mask = self
+                .planes
+                .row(pixel as u32 * levels + self.level_of(v), &mut scratch)?;
+            acc.add_mask(mask);
         }
         Ok(())
     }
@@ -452,7 +323,7 @@ impl Encoder for UhdEncoder {
             table_bytes: h * d * m_bits / 8,
             working_bytes: d * 4,
             backend: self.config.backend,
-            resident_bytes: self.planes.resident_bytes() + self.sobol_q.len() as u64,
+            resident_bytes: self.planes.resident_bytes(),
         }
     }
 }
@@ -594,7 +465,9 @@ mod tests {
             sobol.seek(1000 + pixel as u64 * 63); // the LdFamily::sobol() phase
             let values = sobol.take_values(128);
             for level in 0..16u32 {
-                let mask = enc.pixel_mask(pixel, level).unwrap();
+                let row = pixel as u32 * 16 + level;
+                let mask = enc.plane_memory().row_hypervector(row).unwrap();
+                let mask = mask.words();
                 for (j, &s) in values.iter().enumerate() {
                     let expect = level >= quantizer.quantize_unit(s);
                     let got = (mask[j / 64] >> (j % 64)) & 1 == 1;
@@ -607,11 +480,12 @@ mod tests {
     #[test]
     fn masks_grow_monotonically_with_level() {
         let enc = UhdEncoder::new(tiny_config()).unwrap();
-        for pixel in 0..9 {
+        let planes = enc.plane_memory();
+        for pixel in 0..9u32 {
             for level in 1..16u32 {
-                let lo = enc.pixel_mask(pixel, level - 1).unwrap();
-                let hi = enc.pixel_mask(pixel, level).unwrap();
-                for (a, b) in lo.iter().zip(hi.iter()) {
+                let lo = planes.row_hypervector(pixel * 16 + level - 1).unwrap();
+                let hi = planes.row_hypervector(pixel * 16 + level).unwrap();
+                for (a, b) in lo.words().iter().zip(hi.words()) {
                     assert_eq!(a & !b, 0, "mask must be monotone in level");
                 }
             }
@@ -623,40 +497,8 @@ mod tests {
         // Intensity 255 quantizes to xi-1 which is >= every quantized
         // Sobol value, so the mask is full.
         let enc = UhdEncoder::new(tiny_config()).unwrap();
-        let mask = enc.pixel_mask(0, 15).unwrap();
-        let ones: u32 = mask.iter().map(|w| w.count_ones()).sum();
-        assert_eq!(ones, 128);
-    }
-
-    #[test]
-    fn pixel_mask_misuse_errors_instead_of_panicking() {
-        let enc = UhdEncoder::new(tiny_config()).unwrap();
-        assert!(matches!(
-            enc.pixel_mask(9, 0),
-            Err(HdcError::IndexOutOfRange {
-                what: "pixel",
-                index: 9,
-                len: 9
-            })
-        ));
-        assert!(matches!(
-            enc.pixel_mask(0, 16),
-            Err(HdcError::IndexOutOfRange {
-                what: "level",
-                index: 16,
-                len: 16
-            })
-        ));
-        let remat = UhdEncoder::new(tiny_config().rematerialized()).unwrap();
-        assert!(matches!(
-            remat.pixel_mask(0, 0),
-            Err(HdcError::TableNotResident { what: "plane" })
-        ));
-        let mut scratch = Vec::new();
-        assert_eq!(
-            remat.pixel_mask_into(3, 7, &mut scratch).unwrap(),
-            enc.pixel_mask(3, 7).unwrap()
-        );
+        let mask = enc.plane_memory().row_hypervector(15).unwrap();
+        assert_eq!(mask.count_plus_ones(), 128);
     }
 
     #[test]
@@ -669,13 +511,12 @@ mod tests {
                 .collect();
             assert_eq!(res.encode(&image).unwrap(), rem.encode(&image).unwrap());
         }
-        assert_eq!(rem.sobol_level(4, 100), res.sobol_level(4, 100));
         // The rematerialized instance pins far less heap while quoting
         // the same nominal hardware table size.
         let (pr, pm) = (res.profile(), rem.profile());
         assert_eq!(pr.table_bytes, pm.table_bytes);
         assert!(pm.resident_bytes < pr.resident_bytes);
-        assert_eq!(pm.backend, MemoryBackend::rematerialized());
+        assert_eq!(pm.backend, MemoryBackend::Rematerialized);
     }
 
     #[test]

@@ -59,13 +59,6 @@ pub enum HdcError {
         /// Number of valid entries.
         len: usize,
     },
-    /// A borrowed view into a materialized table was requested from an
-    /// encoder running on the rematerialized backend, where no such table
-    /// exists. Use the `_into`/scratch variants instead.
-    TableNotResident {
-        /// Which table was requested.
-        what: &'static str,
-    },
     /// Configuration rejected (e.g. zero classes, zero dimension).
     InvalidConfig {
         /// Human-readable reason.
@@ -102,12 +95,6 @@ impl fmt::Display for HdcError {
             HdcError::ModelUntrained => write!(f, "model has no trained class hypervectors"),
             HdcError::IndexOutOfRange { what, index, len } => {
                 write!(f, "{what} index {index} out of range (len {len})")
-            }
-            HdcError::TableNotResident { what } => {
-                write!(
-                    f,
-                    "{what} table is not resident under the rematerialized backend"
-                )
             }
             HdcError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             HdcError::LowDisc(e) => write!(f, "low-discrepancy substrate: {e}"),

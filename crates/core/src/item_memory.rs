@@ -15,7 +15,7 @@
 //! * [`MemoryBackend::Resident`] — materialize all rows up front
 //!   (today's behaviour, fastest lookups);
 //! * [`MemoryBackend::Rematerialized`] — keep only the recipe; derive
-//!   rows into caller scratch on demand, with an optional small cache of
+//!   rows into caller scratch on demand, with a small fixed prefix of
 //!   lazily-materialized hot rows.
 //!
 //! The backends are interchangeable because each [`RowRecipe`] obeys one
@@ -48,6 +48,11 @@ pub fn derive_seed(master: u64, tag: u64) -> u64 {
     master ^ tag.wrapping_mul(SplitMix64::GAMMA)
 }
 
+/// Rows `0..CACHED_ROWS` of a rematerialized table are materialized
+/// lazily on first touch and then served resident; every other row
+/// derives into caller scratch on each lookup.
+const CACHED_ROWS: u32 = 64;
+
 /// How an [`ItemMemory`] stores (or does not store) its rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryBackend {
@@ -56,32 +61,8 @@ pub enum MemoryBackend {
     #[default]
     Resident,
     /// Rows regenerated on demand from the recipe — O(seed) persistent
-    /// heap plus a bounded cache, O(D) work per uncached lookup.
-    Rematerialized {
-        /// Rows `0..cached_rows` are materialized lazily on first touch
-        /// and then served resident; all other rows derive into caller
-        /// scratch on every lookup. `0` disables caching entirely.
-        cached_rows: u32,
-    },
-}
-
-impl MemoryBackend {
-    /// Default number of hot rows the rematerialized backend caches.
-    pub const DEFAULT_CACHED_ROWS: u32 = 64;
-
-    /// The rematerialized backend with the default hot-row cache.
-    #[must_use]
-    pub fn rematerialized() -> Self {
-        MemoryBackend::Rematerialized {
-            cached_rows: Self::DEFAULT_CACHED_ROWS,
-        }
-    }
-
-    /// Whether this backend keeps the full table resident.
-    #[must_use]
-    pub fn is_resident(&self) -> bool {
-        matches!(self, MemoryBackend::Resident)
-    }
+    /// heap plus a 64-row hot prefix, O(D) work per uncached lookup.
+    Rematerialized,
 }
 
 /// The pure function a table's rows are derived from.
@@ -332,7 +313,7 @@ pub struct ItemMemory {
     /// All rows, when the backend is resident (or the table was built
     /// from externally supplied rows). Empty otherwise.
     resident: Vec<Hypervector>,
-    /// Lazily-materialized hot rows `0..cached_rows` of the
+    /// Lazily-materialized hot rows `0..CACHED_ROWS` of the
     /// rematerialized backend. Empty for resident tables.
     cache: Vec<OnceLock<Hypervector>>,
 }
@@ -371,10 +352,10 @@ impl ItemMemory {
                 resident: recipe.materialize_all(dim, rows)?,
                 cache: Vec::new(),
             }),
-            MemoryBackend::Rematerialized { cached_rows } => {
+            MemoryBackend::Rematerialized => {
                 let mut probe = vec![0u64; words];
                 recipe.derive_into(dim, rows, rows - 1, &mut probe)?;
-                let cache = (0..cached_rows.min(rows))
+                let cache = (0..CACHED_ROWS.min(rows))
                     .map(|_| OnceLock::new())
                     .collect();
                 Ok(ItemMemory {
@@ -450,22 +431,6 @@ impl ItemMemory {
         self.backend
     }
 
-    /// Whether every row is resident.
-    #[must_use]
-    pub fn is_resident(&self) -> bool {
-        !self.resident.is_empty()
-    }
-
-    /// The full materialized table, when resident.
-    #[must_use]
-    pub fn resident_rows(&self) -> Option<&[Hypervector]> {
-        if self.resident.is_empty() {
-            None
-        } else {
-            Some(&self.resident)
-        }
-    }
-
     /// Heap bytes this table pins for its lifetime: the materialized
     /// rows plus the hot-row cache *capacity* (counted whether or not a
     /// slot is filled yet, so the figure is deterministic).
@@ -537,36 +502,38 @@ mod tests {
     use super::*;
     use uhd_lowdisc::rng::Xoshiro256StarStar;
 
+    /// Every recipe, each sized past the hot-row prefix so its rows
+    /// cover both the cached rows and the scratch path.
     fn recipes() -> Vec<(RowRecipe, u32)> {
         vec![
-            (RowRecipe::Iid { seed: 11 }, 9),
+            (RowRecipe::Iid { seed: 11 }, 70),
             (
                 RowRecipe::RotatedIid {
                     seed: 12,
                     symbols: 5,
                 },
-                15,
+                14 * 5,
             ),
             (
                 RowRecipe::LevelChain {
                     seed: 13,
                     scheme: LevelScheme::CumulativeFlip,
                 },
-                8,
+                70,
             ),
             (
                 RowRecipe::LevelChain {
                     seed: 13,
                     scheme: LevelScheme::ThresholdDraw,
                 },
-                8,
+                70,
             ),
             (
                 RowRecipe::ThresholdPlanes {
                     family: LdFamily::sobol(),
                     levels: 4,
                 },
-                3 * 4,
+                18 * 4,
             ),
         ]
     }
@@ -586,56 +553,26 @@ mod tests {
     #[test]
     fn rematerialized_rows_equal_resident_rows() {
         for (recipe, rows) in recipes() {
+            assert!(rows > CACHED_ROWS, "{recipe:?} must reach the scratch path");
             for dim in [1u32, 65, 130] {
                 let res = ItemMemory::new("t", dim, rows, recipe, MemoryBackend::Resident).unwrap();
-                let rem = ItemMemory::new(
-                    "t",
-                    dim,
-                    rows,
-                    recipe,
-                    MemoryBackend::Rematerialized { cached_rows: 2 },
-                )
-                .unwrap();
+                let rem =
+                    ItemMemory::new("t", dim, rows, recipe, MemoryBackend::Rematerialized).unwrap();
                 for r in 0..rows {
+                    let mut scratch = Vec::new();
+                    let got = rem.row(r, &mut scratch).unwrap().to_vec();
                     assert_eq!(
-                        res.row_hypervector(r).unwrap(),
-                        rem.row_hypervector(r).unwrap(),
+                        got,
+                        res.row_hypervector(r).unwrap().words(),
                         "{recipe:?} dim {dim} row {r}"
                     );
+                    // Prefix rows borrow from the cache; the rest derive
+                    // into the caller's scratch.
+                    let filled = if r < CACHED_ROWS { 0 } else { rem.words() };
+                    assert_eq!(scratch.len(), filled, "{recipe:?} dim {dim} row {r}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn cached_and_scratch_paths_agree() {
-        let recipe = RowRecipe::Iid { seed: 7 };
-        let all_cached = ItemMemory::new(
-            "t",
-            256,
-            8,
-            recipe,
-            MemoryBackend::Rematerialized { cached_rows: 8 },
-        )
-        .unwrap();
-        let none_cached = ItemMemory::new(
-            "t",
-            256,
-            8,
-            recipe,
-            MemoryBackend::Rematerialized { cached_rows: 0 },
-        )
-        .unwrap();
-        let mut s1 = Vec::new();
-        let mut s2 = Vec::new();
-        for r in 0..8 {
-            assert_eq!(
-                all_cached.row(r, &mut s1).unwrap(),
-                none_cached.row(r, &mut s2).unwrap()
-            );
-        }
-        assert!(s1.is_empty(), "cached rows must not touch scratch");
-        assert_eq!(s2.len(), all_cached.words());
     }
 
     #[test]
@@ -689,30 +626,17 @@ mod tests {
             family: LdFamily::sobol(),
             levels: 2,
         };
-        let err = ItemMemory::new(
-            "plane",
-            32,
-            5000 * 2,
-            planes,
-            MemoryBackend::rematerialized(),
-        );
+        let err = ItemMemory::new("plane", 32, 5000 * 2, planes, MemoryBackend::Rematerialized);
         assert!(matches!(err, Err(HdcError::LowDisc(_))));
     }
 
     #[test]
     fn resident_bytes_reflect_backend() {
         let recipe = RowRecipe::Iid { seed: 3 };
-        let res = ItemMemory::new("t", 1024, 256, recipe, MemoryBackend::Resident).unwrap();
-        let rem = ItemMemory::new(
-            "t",
-            1024,
-            256,
-            recipe,
-            MemoryBackend::Rematerialized { cached_rows: 4 },
-        )
-        .unwrap();
-        assert_eq!(res.resident_bytes(), 256 * (1024 / 64) * 8);
-        assert_eq!(rem.resident_bytes(), 4 * (1024 / 64) * 8);
+        let res = ItemMemory::new("t", 64, 4096, recipe, MemoryBackend::Resident).unwrap();
+        let rem = ItemMemory::new("t", 64, 4096, recipe, MemoryBackend::Rematerialized).unwrap();
+        assert_eq!(res.resident_bytes(), 4096 * 8);
+        assert_eq!(rem.resident_bytes(), u64::from(CACHED_ROWS) * 8);
         assert!(res.resident_bytes() >= 50 * rem.resident_bytes());
     }
 
@@ -721,7 +645,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seeded(5);
         let rows: Vec<Hypervector> = (0..3).map(|_| Hypervector::random(100, &mut rng)).collect();
         let im = ItemMemory::from_rows("pos", rows.clone()).unwrap();
-        assert!(im.is_resident());
+        assert_eq!(im.backend(), MemoryBackend::Resident);
         assert_eq!(im.rows(), 3);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(&im.row_hypervector(i as u32).unwrap(), r);
@@ -748,7 +672,7 @@ mod tests {
                 family: LdFamily::sobol(),
                 levels: 16,
             },
-            MemoryBackend::rematerialized(),
+            MemoryBackend::Rematerialized,
         )
         .unwrap();
         for pixel in 0..9u32 {

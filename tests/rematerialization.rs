@@ -48,19 +48,20 @@ fn bytes_from_seed(len: usize, seed: u64) -> Vec<u8> {
     (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect()
 }
 
-/// A small cache so the rematerialized path actually derives rows into
-/// scratch instead of answering everything from the hot-row prefix.
-const TINY_CACHE: MemoryBackend = MemoryBackend::Rematerialized { cached_rows: 2 };
+/// Rows past the rematerialized backend's 64-row hot prefix derive into
+/// scratch on every lookup, so each encoder below touches more table
+/// rows than the prefix holds and exercises both lookup paths.
+const REMAT: MemoryBackend = MemoryBackend::Rematerialized;
 
 #[test]
 fn uhd_backends_agree_at_edge_dims() {
     for dim in edge_dims() {
-        // Keep 64k dims cheap: few pixels, one image.
-        let pixels = if dim > 4096 { 3 } else { 11 };
+        // Keep 64k dims cheap: few pixels (5 × 16 plane rows), one image.
+        let pixels = if dim > 4096 { 5 } else { 11 };
         let config = UhdConfig::new(dim, pixels);
         let resident = UhdEncoder::new(config.clone()).unwrap();
         let remat = UhdEncoder::new(UhdConfig {
-            backend: TINY_CACHE,
+            backend: REMAT,
             ..config
         })
         .unwrap();
@@ -76,13 +77,13 @@ fn uhd_backends_agree_at_edge_dims() {
 #[test]
 fn baseline_backends_agree_at_edge_dims() {
     for dim in edge_dims() {
-        let pixels = if dim > 4096 { 2 } else { 7 };
+        let pixels = 66;
         // Few levels keep the 64k rows cheap while still quantizing.
         let config = BaselineConfig::new(dim, pixels, 8);
         let seed = u64::from(dim) ^ 0xbead;
         let resident =
             BaselineEncoder::from_seed(config.clone(), seed, MemoryBackend::Resident).unwrap();
-        let remat = BaselineEncoder::from_seed(config, seed, TINY_CACHE).unwrap();
+        let remat = BaselineEncoder::from_seed(config, seed, REMAT).unwrap();
         let img = image(pixels, dim as u8);
         assert_eq!(
             resident.encode(&img).unwrap(),
@@ -103,6 +104,9 @@ fn paper_config_heap_shrinks_at_least_fifty_fold() {
     let remat = UhdEncoder::new(config.rematerialized()).unwrap();
     let res_bytes = resident.profile().resident_bytes;
     let rem_bytes = remat.profile().resident_bytes;
+    // The resident encoder holds the plane table and nothing else:
+    // 784 pixels x 16 levels x 1024 bits.
+    assert_eq!(res_bytes, 784 * 16 * 1024 / 8);
     assert!(
         rem_bytes > 0 && rem_bytes <= res_bytes / 50,
         "rematerialized heap {rem_bytes} B must be <= 1/50 of resident {res_bytes} B"
@@ -124,7 +128,7 @@ proptest! {
         let img = bytes_from_seed(5, img_seed);
         let config = UhdConfig::new(dim, img.len());
         let resident = UhdEncoder::new(config.clone()).unwrap();
-        let remat = UhdEncoder::new(UhdConfig { backend: TINY_CACHE, ..config }).unwrap();
+        let remat = UhdEncoder::new(UhdConfig { backend: REMAT, ..config }).unwrap();
         prop_assert_eq!(resident.encode(&img).unwrap(), remat.encode(&img).unwrap());
     }
 
@@ -136,11 +140,11 @@ proptest! {
         seed in any::<u64>(),
         img_seed in any::<u64>(),
     ) {
-        let img = bytes_from_seed(6, img_seed);
+        let img = bytes_from_seed(66, img_seed);
         let config = BaselineConfig::new(dim, img.len(), 16);
         let resident = BaselineEncoder::from_seed(
             config.clone(), seed, MemoryBackend::Resident).unwrap();
-        let remat = BaselineEncoder::from_seed(config, seed, TINY_CACHE).unwrap();
+        let remat = BaselineEncoder::from_seed(config, seed, REMAT).unwrap();
         prop_assert_eq!(resident.encode(&img).unwrap(), remat.encode(&img).unwrap());
     }
 
@@ -160,7 +164,7 @@ proptest! {
         let config = NgramTextConfig::new(dim);
         let resident = NgramTextEncoder::new(config.clone()).unwrap();
         let remat = NgramTextEncoder::new(
-            NgramTextConfig { backend: TINY_CACHE, ..config }).unwrap();
+            NgramTextConfig { backend: REMAT, ..config }).unwrap();
         prop_assert_eq!(
             resident.encode(&text).unwrap(),
             remat.encode(&text).unwrap()
@@ -174,11 +178,11 @@ proptest! {
         seed in any::<u64>(),
         row_seed in any::<u64>(),
     ) {
-        let row = bytes_from_seed(5, row_seed);
+        let row = bytes_from_seed(66, row_seed);
         let config = TabularConfig { seed, ..TabularConfig::new(dim, row.len()) };
         let resident = TabularEncoder::new(config.clone()).unwrap();
         let remat = TabularEncoder::new(
-            TabularConfig { backend: TINY_CACHE, ..config }).unwrap();
+            TabularConfig { backend: REMAT, ..config }).unwrap();
         prop_assert_eq!(resident.encode(&row).unwrap(), remat.encode(&row).unwrap());
     }
 
